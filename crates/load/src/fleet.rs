@@ -31,25 +31,18 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use crate::design::{Design, Shape};
 use crate::hist::Histogram;
 use crate::run::{
-    account_name, definitions, drive_until, file_name, klabel, llabel, shared_word, storm, symbol,
-    Action, Driver, EngineState, LoadRun, LoadSpec, ResolveTarget,
+    account_name, create_file, drive_until, file_name, labelled, make_dir, publish_fixtures,
+    shard_name, storm, symbol, Action, EngineState, Harness, LoadRun, LoadSpec, ResolveTarget,
+    SalvageProbe, PW,
 };
-use crate::script::SHARED_PAGES;
-use mx_aim::Label;
-use mx_explore::oracle;
 use mx_hw::meter::{EdgeSet, MeterSnapshot};
-use mx_hw::{DiskSystem, Language, Subsystem, Word, PAGE_WORDS};
-use mx_kernel::demux::{FramingSpec, StreamId};
-use mx_kernel::{Acl, Kernel, KernelConfig, ObjToken, ProcessId, UserId};
-use mx_legacy::network::{NetworkId, NetworkKind};
-use mx_legacy::{
-    AccessRight, Acl as LAcl, LegacyError, ProcessId as LProcessId, Supervisor, SupervisorConfig,
-    UserId as LUserId,
-};
+use mx_hw::{DiskSystem, Language, Subsystem, Word};
+use mx_kernel::Kernel;
+use mx_legacy::Supervisor;
 use mx_sync::{ChoicePoint, FifoPolicy, SchedulePolicy};
-use mx_user::{publish_library, AnsweringService, NameSpace, UserLinker};
 
 // ------------------------------------------------------ wire protocol --
 
@@ -102,24 +95,6 @@ fn status_name(st: u8) -> &'static str {
         ST_QUOTA => "quota",
         ST_FULL => "full",
         _ => "err",
-    }
-}
-
-/// Label for an RPC whose reply carries a value (`l:`, `r:`).
-fn value_label(prefix: &str, resp: Option<(u8, u64)>) -> String {
-    match resp {
-        Some((ST_OK, v)) => format!("{prefix}:{v}"),
-        Some((st, _)) => format!("{prefix}:{}", status_name(st)),
-        None => format!("{prefix}:lost"),
-    }
-}
-
-/// Label for an RPC whose reply is just an outcome (`n:`, `w:`).
-fn ok_label(prefix: &str, resp: Option<(u8, u64)>) -> String {
-    match resp {
-        Some((ST_OK, _)) => format!("{prefix}:ok"),
-        Some((st, _)) => format!("{prefix}:{}", status_name(st)),
-        None => format!("{prefix}:lost"),
     }
 }
 
@@ -471,26 +446,45 @@ fn fleet_conservation(totals: &[(u64, u64)]) -> Vec<String> {
     }
 }
 
-// ------------------------------------------------------ kernel fleet --
+/// The fleet's status byte for a failed op.
+fn status<D: Design>(e: &D::Error) -> u8 {
+    match D::label(e) {
+        "quota" => ST_QUOTA,
+        "full" => ST_FULL,
+        _ => ST_ERR,
+    }
+}
+
+/// The status reply for an op's outcome: `(ST_OK, ok)` or the error's
+/// status with `err` as the value.
+fn reply<D: Design, T>(got: Result<T, D::Error>, ok: impl FnOnce(T) -> u64, err: u64) -> (u8, u64) {
+    match got {
+        Ok(v) => (ST_OK, ok(v)),
+        Err(e) => (status::<D>(&e), err),
+    }
+}
+
+// ------------------------------------------------------------- fleet --
 
 /// A daemon-held handle to a file served on behalf of a remote session.
-struct RFile {
-    parent: ObjToken,
-    name: String,
+struct RFile<D: Design> {
+    dir: D::Dir,
+    dir_name: String,
     segno: u32,
 }
 
-struct KMachine {
-    k: Kernel,
-    svc: AnsweringService,
-    drv: ProcessId,
-    ns: NameSpace,
-    linker: UserLinker,
-    stream: StreamId,
-    shard_toks: HashMap<usize, ObjToken>,
-    mig_tok: Option<ObjToken>,
+/// One machine of the fleet, with its resident driver (the daemon that
+/// serves remote requests).
+struct Member<D: Design> {
+    sys: D,
+    front: D::Front,
+    drv: D::Pid,
+    env: D::Env,
+    net: D::Net,
+    dirs: HashMap<usize, D::Dir>,
+    mig: Option<D::Dir>,
     shared_segno: Option<u32>,
-    files: HashMap<usize, RFile>,
+    files: HashMap<usize, RFile<D>>,
     served: u64,
     reloc_seen: u64,
     setup_cycles: u64,
@@ -498,24 +492,32 @@ struct KMachine {
     edge_base: EdgeSet,
 }
 
-struct KSessionF {
+impl<D: Design> Member<D> {
+    /// Charges putting (or taking) one frame on the wire.
+    fn charge_frame(&mut self, len: usize) {
+        let m = self.sys.machine_mut();
+        let cost = m.cost;
+        m.clock.charge_wire_frame(&cost, len);
+    }
+}
+
+struct FSession<D: Design> {
     home: usize,
-    pid: ProcessId,
-    ns: NameSpace,
-    linker: UserLinker,
-    own_local: Option<(u32, ObjToken)>,
+    pid: D::Pid,
+    env: D::Env,
+    own: Option<u32>,
     own_created: bool,
     migrated: bool,
     shared_segno: Option<u32>,
     pages: Vec<u64>,
 }
 
-struct KernelFleet {
+struct Fleet<D: Design> {
     spec: FleetSpec,
     cap: usize,
     homes: Vec<usize>,
-    ms: Vec<KMachine>,
-    sessions: Vec<Option<KSessionF>>,
+    ms: Vec<Member<D>>,
+    sessions: Vec<Option<FSession<D>>>,
     wire: Wire,
     front: VecDeque<usize>,
     live: usize,
@@ -525,122 +527,77 @@ struct KernelFleet {
     failures: Vec<String>,
 }
 
-fn kstatus(e: &mx_kernel::KernelError) -> u8 {
-    match klabel(e) {
-        "quota" => ST_QUOTA,
-        "full" => ST_FULL,
-        _ => ST_ERR,
-    }
-}
-
-fn setup_kernel_fleet(
+fn setup_fleet<D: Design>(
     spec: &FleetSpec,
     wire_policy: Option<Box<dyn SchedulePolicy>>,
-) -> KernelFleet {
+) -> Fleet<D> {
     let base = spec.base();
     let homes = spec.homes();
     let mut ms = Vec::with_capacity(spec.machines);
     for m in 0..spec.machines {
-        let mut cfg = base.kernel_config();
+        let mut shape = base.shape();
         // Room for the resident driver plus every session the front can
         // concentrate on one machine — admission pressure lives at the
         // front, never in a member's process table.
-        cfg.max_processes = 32;
+        shape.max_processes = 32;
         if spec.migratory && m != 0 {
             // Small primary packs: growth fills them, forcing full-pack
             // relocation and then migration to the store.
-            cfg.records_per_pack = 12;
-            cfg.toc_slots_per_pack = 24;
+            shape.records_per_pack = 12;
+            shape.toc_slots_per_pack = 24;
         }
-        let mut k = Kernel::boot(cfg);
+        let mut sys = D::boot(&shape);
         if spec.migratory && m != 0 {
             // The relocation target pack, roomy enough that the member
             // never runs entirely out while migrations drain it.
-            k.machine.disks.attach(512, 128);
+            sys.machine_mut().disks.attach(512, 128);
         }
-        let mut svc = AnsweringService::new();
-        svc.register(&mut k, "drv", UserId(1), "pw", Label::BOTTOM);
-        let drv = svc
-            .login(&mut k, "drv", "pw", Label::BOTTOM)
-            .expect("driver login");
-        let ns = NameSpace::new(&mut k, drv);
-        let linker = UserLinker::new(drv);
-        let root = k.root_token();
-        let acl = Acl::owner(UserId(1));
-
-        let mut shard_toks = HashMap::new();
-        let mut mig_tok = None;
+        let mut front = D::new_front();
+        sys.register(&mut front, "drv");
+        let drv = sys.login(&mut front, "drv").expect("driver login");
+        let env = sys.open_env(drv);
+        let mut probe = SalvageProbe::default();
+        let mut dirs = HashMap::new();
+        let mut mig = None;
         let mut shared_segno = None;
         if m == 0 {
-            let lib_tok = k
-                .create_entry(drv, root, "lib", acl.clone(), Label::BOTTOM, false)
-                .expect("lib");
-            let lib_segno = k.initiate(drv, lib_tok).expect("lib initiate");
-            let defs = definitions();
-            let def_refs: Vec<(&str, u32)> = defs.iter().map(|(s, o)| (s.as_str(), *o)).collect();
-            publish_library(&mut k, drv, lib_segno, &def_refs).expect("publish");
-
-            let shared_tok = k
-                .create_entry(drv, root, "shared", acl.clone(), Label::BOTTOM, false)
-                .expect("shared");
-            let sseg = k.initiate(drv, shared_tok).expect("shared initiate");
-            for page in 0..SHARED_PAGES {
-                k.write_word(
-                    drv,
-                    sseg,
-                    page * PAGE_WORDS as u32,
-                    Word::new(shared_word(page)),
-                )
-                .expect("shared page");
-            }
-            shared_segno = Some(sseg);
-
+            shared_segno =
+                Some(publish_fixtures(&mut sys, &mut probe, drv, true).expect("store fixtures"));
             // The migration landing zone, capped roomily: it only ever
             // holds files full packs pushed off member machines.
-            let mt = k
-                .create_entry(drv, root, "mig", acl.clone(), Label::BOTTOM, true)
-                .expect("mig dir");
-            k.set_quota(drv, mt, 2 * base.sessions as u32 + 64)
-                .expect("mig quota");
-            mig_tok = Some(mt);
+            let quota = 2 * base.sessions as u32 + 64;
+            mig = Some(make_dir(&mut sys, &mut probe, drv, "mig", quota).expect("mig dir"));
         }
-        for j in 0..base.shard_count() {
-            if j % spec.machines == m {
-                let tok = k
-                    .create_entry(
-                        drv,
-                        root,
-                        &format!("s{j}"),
-                        acl.clone(),
-                        Label::BOTTOM,
-                        true,
-                    )
-                    .expect("shard dir");
-                k.set_quota(drv, tok, base.shard_quota_pages())
-                    .expect("quota");
-                shard_toks.insert(j, tok);
-            }
+        for j in (0..base.shards()).filter(|j| j % spec.machines == m) {
+            let dir = make_dir(
+                &mut sys,
+                &mut probe,
+                drv,
+                &shard_name(j),
+                base.shard_quota(),
+            )
+            .expect("shard dir");
+            dirs.insert(j, dir);
         }
         for (idx, &h) in homes.iter().enumerate() {
             if h == m {
-                svc.register(&mut k, &account_name(idx), UserId(1), "pw", Label::BOTTOM);
+                sys.register(&mut front, &account_name(idx));
             }
         }
-        let stream = k.demux_attach(FramingSpec::FRONT_END);
+        let net = sys.attach_net();
 
-        let setup_cycles = k.machine.clock.now();
-        let meter_base = k.machine.clock.meter_snapshot();
-        let edge_base = k.machine.clock.edge_snapshot();
-        let reloc_seen = k.segm.stats.relocations;
-        ms.push(KMachine {
-            k,
-            svc,
+        let clock = &sys.machine().clock;
+        let (setup_cycles, meter_base, edge_base) =
+            (clock.now(), clock.meter_snapshot(), clock.edge_snapshot());
+        let reloc_seen = sys.relocations();
+        ms.push(Member {
+            sys,
+            front,
             drv,
-            ns,
-            linker,
-            stream,
-            shard_toks,
-            mig_tok,
+            env,
+            net,
+            dirs,
+            mig,
             shared_segno,
             files: HashMap::new(),
             served: 0,
@@ -650,9 +607,9 @@ fn setup_kernel_fleet(
             edge_base,
         });
     }
-    KernelFleet {
+    Fleet {
         spec: *spec,
-        cap: (KernelConfig::default().max_processes - 1) as usize,
+        cap: (Shape::DEFAULT.max_processes - 1) as usize,
         homes,
         ms,
         sessions: (0..spec.sessions).map(|_| None).collect(),
@@ -666,7 +623,7 @@ fn setup_kernel_fleet(
     }
 }
 
-impl KernelFleet {
+impl<D: Design> Fleet<D> {
     /// Drains the wire: every queued frame is delivered (or dropped by
     /// the planted cheat), requests are serviced as they land, and any
     /// frames the servicing itself enqueues are delivered too.
@@ -677,63 +634,41 @@ impl KernelFleet {
     }
 
     fn deliver(&mut self, dst: usize, frame: WireFrame) {
+        let m = &mut self.ms[dst];
         match frame.kind {
             FrameKind::Directive => {
                 // Admission directives are answering-service traffic on
                 // both ends of the wire.
-                let m = &mut self.ms[dst];
-                let cost = m.k.machine.cost;
-                let g = m.k.machine.clock.enter(Subsystem::AnsweringService);
-                m.k.machine
-                    .clock
-                    .charge_wire_frame(&cost, frame.bytes.len());
-                if let Err(e) = m.k.demux_receive(m.stream, &frame.bytes) {
+                let ch = u16::from(CH_DIRECTIVE);
+                if let Err(e) = m.sys.deliver_directive(m.net, &frame.bytes, ch) {
                     self.failures
-                        .push(format!("machine {dst}: directive receive: {e:?}"));
-                } else {
-                    // The answering service drains its own channel via
-                    // the resident entry — kernel-internal traffic does
-                    // not cross a user gate.
-                    let _ = m.k.demux_read_resident(m.stream, u16::from(CH_DIRECTIVE));
+                        .push(format!("machine {dst}: directive receive: {e}"));
                 }
-                self.ms[dst].k.machine.clock.exit(g);
             }
             FrameKind::Gossip => {
-                let ack = {
-                    let m = &mut self.ms[dst];
-                    let cost = m.k.machine.cost;
-                    m.k.machine
-                        .clock
-                        .charge_wire_frame(&cost, frame.bytes.len());
-                    if let Err(e) = m.k.demux_receive(m.stream, &frame.bytes) {
-                        self.failures
-                            .push(format!("machine {dst}: gossip receive: {e:?}"));
-                    } else {
-                        let _ = m.k.demux_read(m.drv, m.stream, u16::from(CH_GOSSIP));
+                m.charge_frame(frame.bytes.len());
+                match m.sys.net_receive(m.net, &frame.bytes) {
+                    Err(e) => self
+                        .failures
+                        .push(format!("machine {dst}: gossip receive: {e}")),
+                    Ok(()) => {
+                        let _ = m.sys.net_read(m.drv, m.net, u16::from(CH_GOSSIP));
                     }
-                    // payload: [ack-wanted, sender]
-                    (frame.bytes.get(2) == Some(&1)).then(|| frame.bytes[3] as usize)
-                };
-                if let Some(src) = ack {
+                }
+                // payload: [ack-wanted, sender]
+                if frame.bytes.get(2) == Some(&1) {
                     let bytes = Wire::frame(CH_GOSSIP, &[0, dst as u8]);
-                    let m = &mut self.ms[dst];
-                    let cost = m.k.machine.cost;
-                    m.k.machine.clock.charge_wire_frame(&cost, bytes.len());
+                    m.charge_frame(bytes.len());
+                    let src = frame.bytes[3] as usize;
                     self.wire.send(dst, src, FrameKind::Gossip, bytes);
                 }
             }
             FrameKind::Data => {
-                {
-                    let m = &mut self.ms[dst];
-                    let cost = m.k.machine.cost;
-                    m.k.machine
-                        .clock
-                        .charge_wire_frame(&cost, frame.bytes.len());
-                    if let Err(e) = m.k.demux_receive(m.stream, &frame.bytes) {
-                        self.failures
-                            .push(format!("machine {dst}: frame receive: {e:?}"));
-                        return;
-                    }
+                m.charge_frame(frame.bytes.len());
+                if let Err(e) = m.sys.net_receive(m.net, &frame.bytes) {
+                    self.failures
+                        .push(format!("machine {dst}: frame receive: {e}"));
+                    return;
                 }
                 let ch = u16::from(frame.bytes[0]);
                 if (ch as usize) < self.spec.machines {
@@ -745,79 +680,68 @@ impl KernelFleet {
         }
     }
 
+    /// Machine `mi` runs the specialized file-store configuration.
+    fn specialized(&self, mi: usize) -> bool {
+        D::RESIDENT_STORE && self.spec.specialized_store && mi == 0
+    }
+
     /// Serves one buffered request on machine `mi`: read it out of the
-    /// kernel (through the gate on a general machine, via the resident
-    /// entry on the specialized store), decode, execute, gossip, reply.
+    /// supervisor (through the gate on a general machine, via the
+    /// resident entry on the specialized store), decode, execute,
+    /// gossip, reply.
     fn service_request(&mut self, mi: usize, ch: u16) {
-        let specialized = self.spec.specialized_store && mi == 0;
-        let bytes = {
-            let m = &mut self.ms[mi];
-            let read = if specialized {
-                m.k.demux_read_resident(m.stream, ch)
-            } else {
-                m.k.demux_read(m.drv, m.stream, ch)
-            };
-            match read {
-                Ok(b) => b,
-                Err(e) => {
-                    self.failures
-                        .push(format!("machine {mi}: request read: {e:?}"));
-                    return;
-                }
+        let specialized = self.specialized(mi);
+        let m = &mut self.ms[mi];
+        let read = if specialized {
+            m.sys.net_read_resident(m.net, ch)
+        } else {
+            m.sys.net_read(m.drv, m.net, ch)
+        };
+        let bytes = match read {
+            Ok(b) if b.len() == REQ_LEN => b,
+            Ok(b) => {
+                self.failures
+                    .push(format!("machine {mi}: mangled request ({} bytes)", b.len()));
+                return;
+            }
+            Err(e) => {
+                self.failures
+                    .push(format!("machine {mi}: request read: {e}"));
+                return;
             }
         };
-        if bytes.len() != REQ_LEN {
-            self.failures.push(format!(
-                "machine {mi}: mangled request ({} bytes)",
-                bytes.len()
-            ));
-            return;
+        let machine = m.sys.machine_mut();
+        let cost = machine.cost;
+        if specialized {
+            let g = machine.clock.enter(Subsystem::Network);
+            machine
+                .clock
+                .charge_instructions(&cost, RESIDENT_DISPATCH_INSTR, Language::Assembly);
+            machine.clock.exit(g);
+        } else {
+            machine
+                .clock
+                .charge_instructions(&cost, CMD_DECODE_INSTR, Language::Pli);
         }
-        {
-            let m = &mut self.ms[mi];
-            let cost = m.k.machine.cost;
-            if specialized {
-                let g = m.k.machine.clock.enter(Subsystem::Network);
-                m.k.machine.clock.charge_instructions(
-                    &cost,
-                    RESIDENT_DISPATCH_INSTR,
-                    Language::Assembly,
-                );
-                m.k.machine.clock.exit(g);
-            } else {
-                m.k.machine
-                    .clock
-                    .charge_instructions(&cost, CMD_DECODE_INSTR, Language::Pli);
-            }
-        }
-        let req = Req::decode(&bytes);
-        let requester = ch as usize;
-
-        let (status, value) = self.execute_op(mi, req);
+        let (status, value) = self.execute_op(mi, Req::decode(&bytes));
 
         // Gossip *before* the response: while the reply is still in
         // flight, the acknowledgment travels the opposite way — two
         // busy links, a real delivery choice point.
         self.ms[mi].served += 1;
         if self.ms[mi].served.is_multiple_of(GOSSIP_EVERY) {
-            for o in 0..self.spec.machines {
-                if o != mi {
-                    let bytes = Wire::frame(CH_GOSSIP, &[1, mi as u8]);
-                    let m = &mut self.ms[mi];
-                    let cost = m.k.machine.cost;
-                    m.k.machine.clock.charge_wire_frame(&cost, bytes.len());
-                    self.wire.send(mi, o, FrameKind::Gossip, bytes);
-                }
+            for o in (0..self.spec.machines).filter(|&o| o != mi) {
+                let bytes = Wire::frame(CH_GOSSIP, &[1, mi as u8]);
+                self.ms[mi].charge_frame(bytes.len());
+                self.wire.send(mi, o, FrameKind::Gossip, bytes);
             }
         }
 
         let mut payload = vec![status];
         payload.extend_from_slice(&value.to_le_bytes());
         let bytes = Wire::frame((CH_RESP_BASE + mi as u16) as u8, &payload);
-        let m = &mut self.ms[mi];
-        let cost = m.k.machine.cost;
-        m.k.machine.clock.charge_wire_frame(&cost, bytes.len());
-        self.wire.send(mi, requester, FrameKind::Data, bytes);
+        self.ms[mi].charge_frame(bytes.len());
+        self.wire.send(mi, ch as usize, FrameKind::Data, bytes);
     }
 
     /// One remote operation, executed by machine `mi`'s resident driver.
@@ -832,130 +756,75 @@ impl KernelFleet {
             a,
             b,
         } = req;
-        let specialized = self.spec.specialized_store && mi == 0;
+        let specialized = self.specialized(mi);
         let m = &mut self.ms[mi];
-        let k = &mut m.k;
-        let acl = Acl::owner(UserId(1));
+        let (sys, drv) = (&mut m.sys, m.drv);
+        let offset = a * PW;
+        let read = |sys: &mut D, segno| {
+            let got = if specialized {
+                sys.read_resident(drv, segno, offset)
+            } else {
+                sys.read(drv, segno, offset)
+            };
+            reply::<D, _>(got, |w| w.raw(), 0)
+        };
         match op {
-            OP_LINK => match m.linker.link(k, &mut m.ns, ">lib", &symbol(a as usize)) {
-                Ok(l) => (ST_OK, u64::from(l.offset)),
-                Err(e) => (kstatus(&e), 0),
-            },
-            OP_RESOLVE_LIB => match m.ns.resolve(k, ">lib") {
-                Ok(_) => (ST_OK, 0),
-                Err(e) => (kstatus(&e), 0),
-            },
-            OP_RESOLVE_SHARED => match m.ns.resolve(k, ">shared") {
-                Ok(_) => (ST_OK, 0),
-                Err(e) => (kstatus(&e), 0),
-            },
-            OP_RESOLVE_SHARD => match m.ns.resolve(k, &format!(">s{shard}")) {
-                Ok(_) => (ST_OK, 0),
-                Err(e) => (kstatus(&e), 0),
-            },
-            OP_READ_SHARED => {
-                let Some(seg) = m.shared_segno else {
-                    return (ST_ERR, 0);
-                };
-                let read = if specialized {
-                    k.resident_read_word(m.drv, seg, a * PAGE_WORDS as u32)
-                } else {
-                    k.read_word(m.drv, seg, a * PAGE_WORDS as u32)
-                };
-                match read {
-                    Ok(w) => (ST_OK, w.raw()),
-                    Err(e) => (kstatus(&e), 0),
-                }
+            OP_LINK => reply::<D, _>(sys.link(drv, &mut m.env, &symbol(a as usize)), u64::from, 0),
+            OP_RESOLVE_LIB => reply::<D, _>(sys.resolve(drv, &mut m.env, "lib"), |()| 0, 0),
+            OP_RESOLVE_SHARED => reply::<D, _>(sys.resolve(drv, &mut m.env, "shared"), |()| 0, 0),
+            OP_RESOLVE_SHARD => {
+                reply::<D, _>(sys.resolve(drv, &mut m.env, &shard_name(shard)), |()| 0, 0)
             }
-            OP_GROW => {
+            OP_READ_SHARED => match m.shared_segno {
+                Some(segno) => read(sys, segno),
+                None => (ST_ERR, 0),
+            },
+            OP_GROW | OP_MIG_OPEN => {
                 if !m.files.contains_key(&idx) {
-                    let Some(&ptok) = m.shard_toks.get(&shard) else {
+                    let (dir, dir_name) = if op == OP_GROW {
+                        (m.dirs.get(&shard).copied(), shard_name(shard))
+                    } else {
+                        (m.mig, "mig".to_string())
+                    };
+                    let Some(dir) = dir else {
                         return (ST_ERR, 0);
                     };
-                    let created = k
-                        .create_entry(m.drv, ptok, &file_name(idx), acl, Label::BOTTOM, false)
-                        .and_then(|tok| k.initiate(m.drv, tok));
-                    match created {
+                    match create_file(sys, drv, dir, &dir_name, idx) {
                         Ok(segno) => {
                             m.files.insert(
                                 idx,
                                 RFile {
-                                    parent: ptok,
-                                    name: file_name(idx),
+                                    dir,
+                                    dir_name,
                                     segno,
                                 },
                             );
                         }
-                        Err(e) => return (kstatus(&e), 0),
+                        Err(e) => return (status::<D>(&e), 0),
                     }
                 }
-                let segno = m.files[&idx].segno;
-                match k.write_word(m.drv, segno, a * PAGE_WORDS as u32, Word::new(b)) {
-                    Ok(()) => (ST_OK, 1),
-                    Err(e) => (kstatus(&e), 1),
-                }
-            }
-            OP_READ_OWN => {
-                let Some(segno) = m.files.get(&idx).map(|f| f.segno) else {
-                    return (ST_ERR, 0);
-                };
-                let read = if specialized {
-                    k.resident_read_word(m.drv, segno, a * PAGE_WORDS as u32)
-                } else {
-                    k.read_word(m.drv, segno, a * PAGE_WORDS as u32)
-                };
-                match read {
-                    Ok(w) => (ST_OK, w.raw()),
-                    Err(e) => (kstatus(&e), 0),
-                }
-            }
-            OP_DELETE_OWN => {
-                let Some(f) = m.files.remove(&idx) else {
-                    return (ST_ERR, 0);
-                };
-                match k.delete_entry(m.drv, f.parent, &f.name) {
-                    Ok(()) => (ST_OK, 0),
-                    Err(e) => (kstatus(&e), 0),
-                }
-            }
-            OP_MIG_OPEN => {
-                if m.files.contains_key(&idx) {
+                if op == OP_MIG_OPEN {
                     return (ST_OK, 0);
                 }
-                let Some(mt) = m.mig_tok else {
-                    return (ST_ERR, 0);
-                };
-                let created = k
-                    .create_entry(m.drv, mt, &file_name(idx), acl, Label::BOTTOM, false)
-                    .and_then(|tok| k.initiate(m.drv, tok));
-                match created {
-                    Ok(segno) => {
-                        m.files.insert(
-                            idx,
-                            RFile {
-                                parent: mt,
-                                name: file_name(idx),
-                                segno,
-                            },
-                        );
-                        (ST_OK, 0)
-                    }
-                    Err(e) => (kstatus(&e), 0),
-                }
+                let segno = m.files[&idx].segno;
+                reply::<D, _>(sys.write(drv, segno, offset, Word::new(b)), |()| 1, 1)
             }
-            OP_MIG_WRITE => {
-                let Some(segno) = m.files.get(&idx).map(|f| f.segno) else {
-                    return (ST_ERR, 0);
-                };
-                match k.write_word(m.drv, segno, a * PAGE_WORDS as u32, Word::new(b)) {
-                    Ok(()) => (ST_OK, 0),
-                    Err(e) => (kstatus(&e), 0),
-                }
-            }
-            OP_MIG_COMMIT => match k.sync_to_disk() {
-                Ok(()) => (ST_OK, 0),
-                Err(e) => (kstatus(&e), 0),
+            OP_READ_OWN => match m.files.get(&idx) {
+                Some(f) => read(sys, f.segno),
+                None => (ST_ERR, 0),
             },
+            OP_DELETE_OWN => match m.files.remove(&idx) {
+                Some(f) => {
+                    let got = sys.delete_file(drv, f.dir, &f.dir_name, &file_name(idx));
+                    reply::<D, _>(got, |()| 0, 0)
+                }
+                None => (ST_ERR, 0),
+            },
+            OP_MIG_WRITE => match m.files.get(&idx) {
+                Some(f) => reply::<D, _>(sys.write(drv, f.segno, offset, Word::new(b)), |()| 0, 0),
+                None => (ST_ERR, 0),
+            },
+            OP_MIG_COMMIT => reply::<D, _>(sys.sync(), |()| 0, 0),
             _ => (ST_ERR, 0),
         }
     }
@@ -964,18 +833,14 @@ impl KernelFleet {
     /// drain the wire (which services it at the far end), then read the
     /// reply back through this machine's demultiplexer. `None` = the
     /// reply never arrived (a frame was lost).
-    fn rpc(&mut self, src: usize, dst: usize, pid: ProcessId, req: Req) -> Option<(u8, u64)> {
+    fn rpc(&mut self, src: usize, dst: usize, pid: D::Pid, req: Req) -> Option<(u8, u64)> {
         let bytes = Wire::frame(src as u8, &req.encode());
-        {
-            let m = &mut self.ms[src];
-            let cost = m.k.machine.cost;
-            m.k.machine.clock.charge_wire_frame(&cost, bytes.len());
-        }
+        self.ms[src].charge_frame(bytes.len());
         self.wire.send(src, dst, FrameKind::Data, bytes);
         self.remote_ops += 1;
         self.pump();
         let m = &mut self.ms[src];
-        match m.k.demux_read(pid, m.stream, CH_RESP_BASE + dst as u16) {
+        match m.sys.net_read(pid, m.net, CH_RESP_BASE + dst as u16) {
             Ok(bytes) if bytes.len() == RESP_LEN => Some((
                 bytes[0],
                 u64::from_le_bytes(bytes[1..9].try_into().expect("8 bytes")),
@@ -990,7 +855,7 @@ impl KernelFleet {
         &mut self,
         target: usize,
         home: usize,
-        pid: ProcessId,
+        pid: D::Pid,
         req: Req,
     ) -> Option<(u8, u64)> {
         if target == home {
@@ -1007,29 +872,23 @@ impl KernelFleet {
             // accept the session — one directive frame, charged to the
             // answering service on both ends of the wire.
             let bytes = Wire::frame(CH_DIRECTIVE, &[idx as u8, (idx >> 8) as u8]);
-            {
-                let m = &mut self.ms[0];
-                let cost = m.k.machine.cost;
-                let g = m.k.machine.clock.enter(Subsystem::AnsweringService);
-                m.k.machine.clock.charge_wire_frame(&cost, bytes.len());
-                m.k.machine.clock.exit(g);
-            }
+            let m = self.ms[0].sys.machine_mut();
+            let cost = m.cost;
+            let g = m.clock.enter(Subsystem::AnsweringService);
+            m.clock.charge_wire_frame(&cost, bytes.len());
+            m.clock.exit(g);
             self.wire.send(0, home, FrameKind::Directive, bytes);
             self.pump();
         }
         let m = &mut self.ms[home];
-        match m
-            .svc
-            .login(&mut m.k, &account_name(idx), "pw", Label::BOTTOM)
-        {
+        match m.sys.login(&mut m.front, &account_name(idx)) {
             Ok(pid) => {
-                let ns = NameSpace::new(&mut m.k, pid);
-                self.sessions[idx] = Some(KSessionF {
+                let env = m.sys.open_env(pid);
+                self.sessions[idx] = Some(FSession {
                     home,
                     pid,
-                    ns,
-                    linker: UserLinker::new(pid),
-                    own_local: None,
+                    env,
+                    own: None,
                     own_created: false,
                     migrated: false,
                     shared_segno: None,
@@ -1048,39 +907,32 @@ impl KernelFleet {
     /// is migrated to the store — read back page by page at the source,
     /// shipped over the wire, then deleted locally.
     fn maybe_migrate(&mut self, idx: usize, shard: usize, owner: usize) {
-        let reloc = self.ms[owner].k.segm.stats.relocations;
+        let reloc = self.ms[owner].sys.relocations();
         if reloc <= self.ms[owner].reloc_seen {
             return;
         }
         self.ms[owner].reloc_seen = reloc;
-        let (home, migrated, own_created, pages_len, pid) = {
-            let Some(s) = self.sessions[idx].as_ref() else {
-                return;
-            };
-            (s.home, s.migrated, s.own_created, s.pages.len(), s.pid)
+        let Some(s) = self.sessions[idx].as_ref() else {
+            return;
         };
-        if migrated || !own_created || pages_len == 0 {
+        let (home, pid, own, pages) = (s.home, s.pid, s.own, s.pages.len() as u32);
+        if s.migrated || !s.own_created || pages == 0 {
             return;
         }
-        let mut vals = Vec::with_capacity(pages_len);
-        for page in 0..pages_len as u32 {
-            let read = if owner == home {
-                let Some((segno, _)) = self.sessions[idx].as_ref().and_then(|s| s.own_local) else {
-                    return;
-                };
-                self.ms[owner]
-                    .k
-                    .read_word(pid, segno, page * PAGE_WORDS as u32)
-            } else {
-                let Some(segno) = self.ms[owner].files.get(&idx).map(|f| f.segno) else {
-                    return;
-                };
-                let drv = self.ms[owner].drv;
-                self.ms[owner]
-                    .k
-                    .read_word(drv, segno, page * PAGE_WORDS as u32)
-            };
-            match read {
+        let m = &mut self.ms[owner];
+        let drv = m.drv;
+        // The session reads its own file at home; the daemon reads the
+        // file it holds for a remote session.
+        let Some((reader, segno)) = (if owner == home {
+            own.map(|segno| (pid, segno))
+        } else {
+            m.files.get(&idx).map(|f| (drv, f.segno))
+        }) else {
+            return;
+        };
+        let mut vals = Vec::with_capacity(pages as usize);
+        for page in 0..pages {
+            match m.sys.read(reader, segno, page * PW) {
                 Ok(w) => vals.push(w.raw()),
                 Err(e) => {
                     self.failures
@@ -1089,63 +941,99 @@ impl KernelFleet {
                 }
             }
         }
-        let drv = self.ms[owner].drv;
-        match self.rpc(owner, 0, drv, Req::new(OP_MIG_OPEN, idx, shard)) {
-            Some((ST_OK, _)) => {}
-            r => {
-                self.failures.push(format!("migration open u{idx}: {r:?}"));
-                return;
-            }
-        }
-        for (page, &val) in vals.iter().enumerate() {
-            match self.rpc(
-                owner,
-                0,
-                drv,
-                Req::new(OP_MIG_WRITE, idx, shard).arg(page as u32).val(val),
-            ) {
+        let open = Req::new(OP_MIG_OPEN, idx, shard);
+        let writes = vals.iter().enumerate().map(|(page, &val)| {
+            let req = Req::new(OP_MIG_WRITE, idx, shard).arg(page as u32).val(val);
+            (format!("write u{idx} page {page}"), req)
+        });
+        let steps = std::iter::once((format!("open u{idx}"), open))
+            .chain(writes)
+            .chain(std::iter::once((
+                format!("commit u{idx}"),
+                Req::new(OP_MIG_COMMIT, idx, shard),
+            )));
+        for (what, req) in steps {
+            match self.rpc(owner, 0, drv, req) {
                 Some((ST_OK, _)) => {}
                 r => {
-                    self.failures
-                        .push(format!("migration write u{idx} page {page}: {r:?}"));
+                    self.failures.push(format!("migration {what}: {r:?}"));
                     return;
                 }
             }
         }
-        match self.rpc(owner, 0, drv, Req::new(OP_MIG_COMMIT, idx, shard)) {
-            Some((ST_OK, _)) => {}
-            r => {
-                self.failures
-                    .push(format!("migration commit u{idx}: {r:?}"));
-                return;
-            }
-        }
         // Free the member machine's copy.
-        if owner == home {
-            let own = self.sessions[idx].as_mut().and_then(|s| s.own_local.take());
-            if own.is_some() {
-                let ptok = self.ms[owner].shard_toks[&shard];
-                if let Err(e) = self.ms[owner].k.delete_entry(pid, ptok, &file_name(idx)) {
-                    self.failures
-                        .push(format!("migration source delete u{idx}: {e:?}"));
-                }
-            }
-        } else if let Some(f) = self.ms[owner].files.remove(&idx) {
-            if let Err(e) = self.ms[owner].k.delete_entry(drv, f.parent, &f.name) {
-                self.failures
-                    .push(format!("migration source delete u{idx}: {e:?}"));
-            }
+        let m = &mut self.ms[owner];
+        let deleted = if owner == home {
+            let own = self.sessions[idx].as_mut().and_then(|s| s.own.take());
+            own.map(|_| {
+                let dir = m.dirs[&shard];
+                m.sys
+                    .delete_file(pid, dir, &shard_name(shard), &file_name(idx))
+            })
+        } else {
+            m.files
+                .remove(&idx)
+                .map(|f| m.sys.delete_file(drv, f.dir, &f.dir_name, &file_name(idx)))
+        };
+        if let Some(Err(e)) = deleted {
+            self.failures
+                .push(format!("migration source delete u{idx}: {e:?}"));
         }
         if let Some(s) = self.sessions[idx].as_mut() {
             s.migrated = true;
         }
         self.migrations += 1;
     }
+
+    /// Runs an action on the session's home machine itself.
+    fn exec_local(&mut self, idx: usize, shard: usize, action: &Action) -> String {
+        let s = self.sessions[idx].as_mut().expect("live session");
+        let m = &mut self.ms[s.home];
+        let sys = &mut m.sys;
+        match *action {
+            Action::Link(sym) => labelled::<D, _>("l", sys.link(s.pid, &mut s.env, &symbol(sym))),
+            Action::Resolve(target) => {
+                let got = sys.resolve(s.pid, &mut s.env, &target.name());
+                labelled::<D, _>("n", got.map(|()| "ok"))
+            }
+            Action::Grow { page, val } => {
+                if s.own.is_none() {
+                    let Some(&dir) = m.dirs.get(&shard) else {
+                        return "w:err".to_string();
+                    };
+                    match create_file(sys, s.pid, dir, &shard_name(shard), idx) {
+                        Ok(segno) => s.own = Some(segno),
+                        Err(e) => return format!("w:{}", D::label(&e)),
+                    }
+                }
+                let segno = s.own.expect("just created");
+                s.own_created = true;
+                let got = sys.write(s.pid, segno, page * PW, Word::new(val));
+                labelled::<D, _>("w", got.map(|()| "ok"))
+            }
+            Action::ReadOwn { page } => match s.own {
+                Some(segno) => {
+                    labelled::<D, _>("r", sys.read(s.pid, segno, page * PW).map(|w| w.raw()))
+                }
+                None => "r:err".to_string(),
+            },
+            Action::ReadShared { page } => {
+                if s.shared_segno.is_none() {
+                    match sys.initiate_path(s.pid, &mut s.env, "shared") {
+                        Ok(segno) => s.shared_segno = Some(segno),
+                        Err(e) => return format!("r:{}", D::label(&e)),
+                    }
+                }
+                let segno = s.shared_segno.expect("just initiated");
+                labelled::<D, _>("r", sys.read(s.pid, segno, page * PW).map(|w| w.raw()))
+            }
+        }
+    }
 }
 
-impl Driver for KernelFleet {
+impl<D: Design> Harness for Fleet<D> {
     fn now(&self) -> u64 {
-        self.ms.iter().map(|m| m.k.machine.clock.now()).sum()
+        self.ms.iter().map(|m| m.sys.machine().clock.now()).sum()
     }
 
     fn queued(&self) -> usize {
@@ -1175,182 +1063,73 @@ impl Driver for KernelFleet {
     }
 
     fn exec(&mut self, idx: usize, shard: usize, action: &Action) -> String {
-        let (home, migrated) = {
-            let s = self.sessions[idx].as_ref().expect("live session");
-            (s.home, s.migrated)
-        };
+        let s = self.sessions[idx].as_ref().expect("live session");
+        let (home, pid, migrated) = (s.home, s.pid, s.migrated);
         self.last_active = home;
         let machines = self.spec.machines;
-        match *action {
-            Action::Link(sym) => {
-                if home == 0 {
-                    let m = &mut self.ms[0];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    match s.linker.link(&mut m.k, &mut s.ns, ">lib", &symbol(sym)) {
-                        Ok(l) => format!("l:{}", l.offset),
-                        Err(e) => format!("l:{}", klabel(&e)),
-                    }
-                } else {
-                    let pid = self.sessions[idx].as_ref().expect("live session").pid;
-                    let resp =
-                        self.rpc(home, 0, pid, Req::new(OP_LINK, idx, shard).arg(sym as u32));
-                    value_label("l", resp)
-                }
+        // Where the op runs: the store holds the library, the shared
+        // segment and migrated files; shard `j` lives on machine `j % M`.
+        let owner = if migrated { 0 } else { shard % machines };
+        let (target, req) = match *action {
+            Action::Link(sym) => (0, Req::new(OP_LINK, idx, shard).arg(sym as u32)),
+            Action::Resolve(ResolveTarget::Lib) => (0, Req::new(OP_RESOLVE_LIB, idx, shard)),
+            Action::Resolve(ResolveTarget::Shared) => (0, Req::new(OP_RESOLVE_SHARED, idx, shard)),
+            Action::Resolve(ResolveTarget::Shard(j)) => {
+                (j % machines, Req::new(OP_RESOLVE_SHARD, idx, shard))
             }
-            Action::Resolve(target) => {
-                let (dst, op) = match target {
-                    ResolveTarget::Lib => (0, OP_RESOLVE_LIB),
-                    ResolveTarget::Shared => (0, OP_RESOLVE_SHARED),
-                    ResolveTarget::Shard(j) => (j % machines, OP_RESOLVE_SHARD),
-                };
-                if dst == home {
-                    let path = match target {
-                        ResolveTarget::Lib => ">lib".to_string(),
-                        ResolveTarget::Shared => ">shared".to_string(),
-                        ResolveTarget::Shard(j) => format!(">s{j}"),
-                    };
-                    let m = &mut self.ms[home];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    match s.ns.resolve(&mut m.k, &path) {
-                        Ok(_) => "n:ok".to_string(),
-                        Err(e) => format!("n:{}", klabel(&e)),
-                    }
-                } else {
-                    let pid = self.sessions[idx].as_ref().expect("live session").pid;
-                    let resp = self.rpc(home, dst, pid, Req::new(op, idx, shard));
-                    ok_label("n", resp)
-                }
+            Action::Grow { page, val } => (owner, Req::new(OP_GROW, idx, shard).arg(page).val(val)),
+            Action::ReadOwn { page } => (owner, Req::new(OP_READ_OWN, idx, shard).arg(page)),
+            Action::ReadShared { page } => (0, Req::new(OP_READ_SHARED, idx, shard).arg(page)),
+        };
+        let own_file = matches!(action, Action::Grow { .. } | Action::ReadOwn { .. });
+        let label = if target == home && !(own_file && migrated) {
+            self.exec_local(idx, shard, action)
+        } else {
+            // Own-file ops go through the daemon even when it is
+            // colocated (a migrated file on the store is the daemon's).
+            let resp = if own_file {
+                self.daemon_call(target, home, pid, req)
+            } else {
+                self.rpc(home, target, pid, req)
+            };
+            if let (Action::Grow { .. }, Some((_, 1))) = (action, resp) {
+                self.sessions[idx]
+                    .as_mut()
+                    .expect("live session")
+                    .own_created = true;
             }
-            Action::Grow { page, val } => {
-                let owner = if migrated { 0 } else { shard % machines };
-                let label = if owner == home && !migrated {
-                    let m = &mut self.ms[home];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    let mut out = None;
-                    if s.own_local.is_none() {
-                        match m.shard_toks.get(&shard) {
-                            Some(&ptok) => {
-                                let created =
-                                    m.k.create_entry(
-                                        s.pid,
-                                        ptok,
-                                        &file_name(idx),
-                                        Acl::owner(UserId(1)),
-                                        Label::BOTTOM,
-                                        false,
-                                    )
-                                    .and_then(|tok| {
-                                        m.k.initiate(s.pid, tok).map(|segno| (segno, tok))
-                                    });
-                                match created {
-                                    Ok(pair) => s.own_local = Some(pair),
-                                    Err(e) => out = Some(format!("w:{}", klabel(&e))),
-                                }
-                            }
-                            None => out = Some("w:err".to_string()),
-                        }
-                    }
-                    match out {
-                        Some(label) => label,
-                        None => {
-                            let (segno, _) = s.own_local.expect("just created");
-                            s.own_created = true;
-                            match m.k.write_word(
-                                s.pid,
-                                segno,
-                                page * PAGE_WORDS as u32,
-                                Word::new(val),
-                            ) {
-                                Ok(()) => "w:ok".to_string(),
-                                Err(e) => format!("w:{}", klabel(&e)),
-                            }
-                        }
-                    }
-                } else {
-                    let pid = self.sessions[idx].as_ref().expect("live session").pid;
-                    let resp = self.daemon_call(
-                        owner,
-                        home,
-                        pid,
-                        Req::new(OP_GROW, idx, shard).arg(page).val(val),
-                    );
-                    if let Some((_, exists)) = resp {
-                        if exists == 1 {
-                            self.sessions[idx]
-                                .as_mut()
-                                .expect("live session")
-                                .own_created = true;
-                        }
-                    }
-                    ok_label("w", resp)
-                };
-                if label == "w:ok" {
-                    self.sessions[idx]
-                        .as_mut()
-                        .expect("live session")
-                        .pages
-                        .push(val);
-                }
-                if self.spec.migratory && owner != 0 {
-                    self.maybe_migrate(idx, shard, owner);
-                }
-                label
+            let prefix = match action {
+                Action::Link(_) => "l",
+                Action::Resolve(_) => "n",
+                Action::Grow { .. } => "w",
+                Action::ReadOwn { .. } | Action::ReadShared { .. } => "r",
+            };
+            match resp {
+                Some((ST_OK, v)) if matches!(prefix, "l" | "r") => format!("{prefix}:{v}"),
+                Some((ST_OK, _)) => format!("{prefix}:ok"),
+                Some((st, _)) => format!("{prefix}:{}", status_name(st)),
+                None => format!("{prefix}:lost"),
             }
-            Action::ReadOwn { page } => {
-                let owner = if migrated { 0 } else { shard % machines };
-                if owner == home && !migrated {
-                    let m = &mut self.ms[home];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    match s.own_local {
-                        Some((segno, _)) => {
-                            match m.k.read_word(s.pid, segno, page * PAGE_WORDS as u32) {
-                                Ok(w) => format!("r:{}", w.raw()),
-                                Err(e) => format!("r:{}", klabel(&e)),
-                            }
-                        }
-                        None => "r:err".to_string(),
-                    }
-                } else {
-                    let pid = self.sessions[idx].as_ref().expect("live session").pid;
-                    let resp = self.daemon_call(
-                        owner,
-                        home,
-                        pid,
-                        Req::new(OP_READ_OWN, idx, shard).arg(page),
-                    );
-                    value_label("r", resp)
-                }
+        };
+        if let Action::Grow { val, .. } = *action {
+            if label == "w:ok" {
+                self.sessions[idx]
+                    .as_mut()
+                    .expect("live session")
+                    .pages
+                    .push(val);
             }
-            Action::ReadShared { page } => {
-                if home == 0 {
-                    let m = &mut self.ms[0];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    if s.shared_segno.is_none() {
-                        match s.ns.initiate(&mut m.k, ">shared") {
-                            Ok(segno) => s.shared_segno = Some(segno),
-                            Err(e) => return format!("r:{}", klabel(&e)),
-                        }
-                    }
-                    let segno = s.shared_segno.expect("just initiated");
-                    match m.k.read_word(s.pid, segno, page * PAGE_WORDS as u32) {
-                        Ok(w) => format!("r:{}", w.raw()),
-                        Err(e) => format!("r:{}", klabel(&e)),
-                    }
-                } else {
-                    let pid = self.sessions[idx].as_ref().expect("live session").pid;
-                    let resp =
-                        self.rpc(home, 0, pid, Req::new(OP_READ_SHARED, idx, shard).arg(page));
-                    value_label("r", resp)
-                }
+            if self.spec.migratory && owner != 0 {
+                self.maybe_migrate(idx, shard, owner);
             }
         }
+        label
     }
 
     fn finish(&mut self, idx: usize, shard: usize, abandon: bool) -> String {
-        let (home, pid, migrated, own_created, own_local) = {
-            let s = self.sessions[idx].as_ref().expect("live session");
-            (s.home, s.pid, s.migrated, s.own_created, s.own_local)
-        };
+        let s = self.sessions[idx].as_ref().expect("live session");
+        let (home, pid, migrated, own_created, own) =
+            (s.home, s.pid, s.migrated, s.own_created, s.own);
         self.last_active = home;
         let mut label = if abandon { "reap" } else { "out" }.to_string();
         if !abandon && own_created {
@@ -1360,12 +1139,16 @@ impl Driver for KernelFleet {
                 shard % self.spec.machines
             };
             if owner == home && !migrated {
-                if own_local.is_some() {
-                    let ptok = self.ms[home].shard_toks[&shard];
-                    match self.ms[home].k.delete_entry(pid, ptok, &file_name(idx)) {
+                if own.is_some() {
+                    let m = &mut self.ms[home];
+                    let dir = m.dirs[&shard];
+                    match m
+                        .sys
+                        .delete_file(pid, dir, &shard_name(shard), &file_name(idx))
+                    {
                         Ok(()) => {
                             if let Some(s) = self.sessions[idx].as_mut() {
-                                s.own_local = None;
+                                s.own = None;
                             }
                         }
                         Err(_) => label = "out:err".to_string(),
@@ -1380,9 +1163,8 @@ impl Driver for KernelFleet {
             }
         }
         let m = &mut self.ms[home];
-        match m.svc.logout(&mut m.k, pid) {
-            Ok(_) => {}
-            Err(_) => label = format!("{label}:err"),
+        if m.sys.logout(&mut m.front, &account_name(idx), pid).is_err() {
+            label = format!("{label}:err");
         }
         self.sessions[idx] = None;
         self.live -= 1;
@@ -1390,12 +1172,12 @@ impl Driver for KernelFleet {
     }
 
     fn schedule(&mut self) {
-        self.ms[self.last_active].k.schedule();
+        self.ms[self.last_active].sys.dispatch();
     }
 
     fn housekeep(&mut self) {
         for mi in 0..self.ms.len() {
-            if let Err(e) = self.ms[mi].k.sync_to_disk() {
+            if let Err(e) = self.ms[mi].sys.sync() {
                 self.failures
                     .push(format!("machine {mi}: housekeeping sweep: {e:?}"));
             }
@@ -1403,11 +1185,11 @@ impl Driver for KernelFleet {
     }
 }
 
-/// Runs the fleet spec on the kernel design. The optional policy
-/// governs only the wire's delivery order ([`ChoicePoint::Wire`]); each
-/// machine's internal schedule stays at the baseline FIFO, exactly as
-/// in the single-machine engine.
-pub fn run_kernel_fleet(
+/// Runs the fleet spec on design `D`. The optional policy governs only
+/// the wire's delivery order ([`ChoicePoint::Wire`]); each machine's
+/// internal schedule stays at the baseline, exactly as in the
+/// single-machine engine.
+fn run_fleet<D: Design>(
     spec: &FleetSpec,
     wire_policy: Option<Box<dyn SchedulePolicy>>,
 ) -> FleetRun {
@@ -1416,9 +1198,8 @@ pub fn run_kernel_fleet(
         !spec.dedicated_store || spec.machines >= 2,
         "a dedicated store needs at least one member machine"
     );
-    let base = spec.base();
-    let scripts = base.scripts();
-    let mut fleet = setup_kernel_fleet(spec, wire_policy);
+    let scripts = spec.base().scripts();
+    let mut fleet = setup_fleet::<D>(spec, wire_policy);
     let mut st = EngineState::new();
     storm(&mut fleet, &scripts, &mut st);
     drive_until(&mut fleet, &scripts, &mut st, None);
@@ -1427,25 +1208,26 @@ pub fn run_kernel_fleet(
     let per_machine_cycles: Vec<u64> = fleet
         .ms
         .iter()
-        .map(|m| m.k.machine.clock.now() - m.setup_cycles)
+        .map(|m| m.sys.machine().clock.now() - m.setup_cycles)
         .collect();
     let mut edges = EdgeSet::new();
     let mut violations = Vec::new();
     let mut totals = Vec::new();
     let mut relocations = 0;
     for (i, m) in fleet.ms.iter().enumerate() {
-        edges.merge(&m.edge_base.delta(m.k.machine.clock.edge_set()));
-        for v in oracle::check_kernel(&m.k) {
+        let machine = m.sys.machine();
+        edges.merge(&m.edge_base.delta(machine.clock.edge_set()));
+        for v in m.sys.oracle() {
             violations.push(format!("machine {i}: {v}"));
         }
-        totals.push(disk_totals(&m.k.machine.disks));
-        relocations += m.k.segm.stats.relocations;
+        totals.push(disk_totals(&machine.disks));
+        relocations += m.sys.relocations();
     }
     violations.extend(fleet_conservation(&totals));
     violations.extend(fleet.failures.iter().cloned());
     let store = &fleet.ms[0];
     FleetRun {
-        design: "kernel",
+        design: D::NAME,
         machines: spec.machines,
         cycles: per_machine_cycles.iter().sum(),
         wall_cycles: per_machine_cycles.iter().copied().max().unwrap_or(0),
@@ -1466,824 +1248,19 @@ pub fn run_kernel_fleet(
         store_cycles: per_machine_cycles[0],
         store_meter: store
             .meter_base
-            .delta(&store.k.machine.clock.meter_snapshot()),
+            .delta(&store.sys.machine().clock.meter_snapshot()),
         per_machine_cycles,
         edges,
         violations,
     }
 }
 
-// ------------------------------------------------------ legacy fleet --
-
-/// A daemon-held handle to a file served on behalf of a remote session,
-/// old-supervisor flavor: pathnames, not tokens.
-struct LFile {
-    path: String,
-    segno: u32,
-}
-
-struct LMachine {
-    sup: Supervisor,
-    drv: LProcessId,
-    net: NetworkId,
-    shared_segno: Option<u32>,
-    files: HashMap<usize, LFile>,
-    served: u64,
-    reloc_seen: u64,
-    setup_cycles: u64,
-    meter_base: MeterSnapshot,
-    edge_base: EdgeSet,
-}
-
-struct LSessionF {
-    home: usize,
-    pid: LProcessId,
-    own_segno: Option<u32>,
-    own_created: bool,
-    migrated: bool,
-    shared_segno: Option<u32>,
-    pages: Vec<u64>,
-}
-
-struct LegacyFleet {
-    spec: FleetSpec,
-    cap: usize,
-    homes: Vec<usize>,
-    ms: Vec<LMachine>,
-    sessions: Vec<Option<LSessionF>>,
-    wire: Wire,
-    front: VecDeque<usize>,
-    live: usize,
-    last_active: usize,
-    remote_ops: u64,
-    migrations: u64,
-    failures: Vec<String>,
-}
-
-fn lstatus(e: &LegacyError) -> u8 {
-    match llabel(e) {
-        "quota" => ST_QUOTA,
-        "full" => ST_FULL,
-        _ => ST_ERR,
-    }
-}
-
-fn setup_legacy_fleet(
+/// Runs the fleet spec on the kernel design (see [`run_fleet`]).
+pub fn run_kernel_fleet(
     spec: &FleetSpec,
     wire_policy: Option<Box<dyn SchedulePolicy>>,
-) -> LegacyFleet {
-    let base = spec.base();
-    let homes = spec.homes();
-    let mut ms = Vec::with_capacity(spec.machines);
-    for m in 0..spec.machines {
-        let mut cfg = base.supervisor_config();
-        cfg.max_processes = 32;
-        if spec.migratory && m != 0 {
-            cfg.records_per_pack = 12;
-            cfg.toc_slots_per_pack = 24;
-        }
-        let mut sup = Supervisor::boot(cfg);
-        if spec.migratory && m != 0 {
-            sup.machine.disks.attach(512, 128);
-        }
-        sup.register_user("drv", LUserId(1), "pw", Label::BOTTOM);
-        let drv = sup.login("drv", "pw", Label::BOTTOM).expect("driver login");
-        let root = sup.root();
-        let acl = LAcl::owner(LUserId(1));
-
-        let mut shared_segno = None;
-        if m == 0 {
-            let lib_uid = sup
-                .create_segment_in(root, "lib", acl.clone(), Label::BOTTOM)
-                .expect("lib");
-            let defs = definitions();
-            let def_refs: Vec<(&str, u32)> = defs.iter().map(|(s, o)| (s.as_str(), *o)).collect();
-            sup.publish_definitions(lib_uid, &def_refs);
-            let lib_segno = sup.initiate(drv, "lib").expect("lib initiate");
-            sup.user_write(drv, lib_segno, 0, Word::new(def_refs.len() as u64))
-                .expect("lib page");
-
-            sup.create_segment_in(root, "shared", acl.clone(), Label::BOTTOM)
-                .expect("shared");
-            let sseg = sup.initiate(drv, "shared").expect("shared initiate");
-            for page in 0..SHARED_PAGES {
-                sup.user_write(
-                    drv,
-                    sseg,
-                    page * PAGE_WORDS as u32,
-                    Word::new(shared_word(page)),
-                )
-                .expect("shared page");
-            }
-            shared_segno = Some(sseg);
-
-            sup.create_directory_in(root, "mig", acl.clone(), Label::BOTTOM)
-                .expect("mig dir");
-            sup.set_quota_directory(drv, "mig", 2 * base.sessions as u32 + 64)
-                .expect("mig quota");
-        }
-        for j in 0..base.shard_count() {
-            if j % spec.machines == m {
-                sup.create_directory_in(root, &format!("s{j}"), acl.clone(), Label::BOTTOM)
-                    .expect("shard dir");
-                sup.set_quota_directory(drv, &format!("s{j}"), base.shard_quota_pages())
-                    .expect("quota");
-            }
-        }
-        for (idx, &h) in homes.iter().enumerate() {
-            if h == m {
-                sup.register_user(&account_name(idx), LUserId(1), "pw", Label::BOTTOM);
-            }
-        }
-        let net = sup.attach_network(NetworkKind::FrontEnd);
-
-        let setup_cycles = sup.machine.clock.now();
-        let meter_base = sup.machine.clock.meter_snapshot();
-        let edge_base = sup.machine.clock.edge_snapshot();
-        let reloc_seen = sup.stats.relocations;
-        ms.push(LMachine {
-            sup,
-            drv,
-            net,
-            shared_segno,
-            files: HashMap::new(),
-            served: 0,
-            reloc_seen,
-            setup_cycles,
-            meter_base,
-            edge_base,
-        });
-    }
-    LegacyFleet {
-        spec: *spec,
-        cap: (SupervisorConfig::default().max_processes - 1) as usize,
-        homes,
-        ms,
-        sessions: (0..spec.sessions).map(|_| None).collect(),
-        wire: Wire::new(spec.machines, wire_policy, spec.drop_frame),
-        front: VecDeque::new(),
-        live: 0,
-        last_active: 0,
-        remote_ops: 0,
-        migrations: 0,
-        failures: Vec::new(),
-    }
-}
-
-impl LegacyFleet {
-    /// See [`KernelFleet::pump`].
-    fn pump(&mut self) {
-        while let Some((dst, frame)) = self.wire.pop() {
-            self.deliver(dst, frame);
-        }
-    }
-
-    fn deliver(&mut self, dst: usize, frame: WireFrame) {
-        match frame.kind {
-            FrameKind::Directive => {
-                let m = &mut self.ms[dst];
-                let m_net = m.net;
-                let cost = m.sup.machine.cost;
-                let g = m.sup.machine.clock.enter(Subsystem::AnsweringService);
-                m.sup
-                    .machine
-                    .clock
-                    .charge_wire_frame(&cost, frame.bytes.len());
-                if let Err(e) = m.sup.network_receive(m.net, &frame.bytes) {
-                    self.failures
-                        .push(format!("machine {dst}: directive receive: {e:?}"));
-                }
-                self.ms[dst].sup.machine.clock.exit(g);
-                // The old design has no resident read: even its own
-                // answering service drains the channel through the
-                // ordinary user gate, from the ambient domain.
-                let _ = self.ms[dst]
-                    .sup
-                    .network_read_channel(m_net, u16::from(CH_DIRECTIVE));
-            }
-            FrameKind::Gossip => {
-                let ack = {
-                    let m = &mut self.ms[dst];
-                    let cost = m.sup.machine.cost;
-                    m.sup
-                        .machine
-                        .clock
-                        .charge_wire_frame(&cost, frame.bytes.len());
-                    if let Err(e) = m.sup.network_receive(m.net, &frame.bytes) {
-                        self.failures
-                            .push(format!("machine {dst}: gossip receive: {e:?}"));
-                    } else {
-                        let _ = m.sup.network_read_channel(m.net, u16::from(CH_GOSSIP));
-                    }
-                    (frame.bytes.get(2) == Some(&1)).then(|| frame.bytes[3] as usize)
-                };
-                if let Some(src) = ack {
-                    let bytes = Wire::frame(CH_GOSSIP, &[0, dst as u8]);
-                    let m = &mut self.ms[dst];
-                    let cost = m.sup.machine.cost;
-                    m.sup.machine.clock.charge_wire_frame(&cost, bytes.len());
-                    self.wire.send(dst, src, FrameKind::Gossip, bytes);
-                }
-            }
-            FrameKind::Data => {
-                {
-                    let m = &mut self.ms[dst];
-                    let cost = m.sup.machine.cost;
-                    m.sup
-                        .machine
-                        .clock
-                        .charge_wire_frame(&cost, frame.bytes.len());
-                    if let Err(e) = m.sup.network_receive(m.net, &frame.bytes) {
-                        self.failures
-                            .push(format!("machine {dst}: frame receive: {e:?}"));
-                        return;
-                    }
-                }
-                let ch = u16::from(frame.bytes[0]);
-                if (ch as usize) < self.spec.machines {
-                    self.service_request(dst, ch);
-                }
-            }
-        }
-    }
-
-    /// See [`KernelFleet::service_request`]. The old supervisor has no
-    /// resident file-store path: every remote request goes through the
-    /// gated channel read and the user-domain command layer.
-    fn service_request(&mut self, mi: usize, ch: u16) {
-        let bytes = {
-            let m = &mut self.ms[mi];
-            match m.sup.network_read_channel(m.net, ch) {
-                Ok(b) => b,
-                Err(e) => {
-                    self.failures
-                        .push(format!("machine {mi}: request read: {e:?}"));
-                    return;
-                }
-            }
-        };
-        if bytes.len() != REQ_LEN {
-            self.failures.push(format!(
-                "machine {mi}: mangled request ({} bytes)",
-                bytes.len()
-            ));
-            return;
-        }
-        {
-            let m = &mut self.ms[mi];
-            let cost = m.sup.machine.cost;
-            m.sup
-                .machine
-                .clock
-                .charge_instructions(&cost, CMD_DECODE_INSTR, Language::Pli);
-        }
-        let req = Req::decode(&bytes);
-        let requester = ch as usize;
-
-        let (status, value) = self.execute_op(mi, req);
-
-        self.ms[mi].served += 1;
-        if self.ms[mi].served.is_multiple_of(GOSSIP_EVERY) {
-            for o in 0..self.spec.machines {
-                if o != mi {
-                    let bytes = Wire::frame(CH_GOSSIP, &[1, mi as u8]);
-                    let m = &mut self.ms[mi];
-                    let cost = m.sup.machine.cost;
-                    m.sup.machine.clock.charge_wire_frame(&cost, bytes.len());
-                    self.wire.send(mi, o, FrameKind::Gossip, bytes);
-                }
-            }
-        }
-
-        let mut payload = vec![status];
-        payload.extend_from_slice(&value.to_le_bytes());
-        let bytes = Wire::frame((CH_RESP_BASE + mi as u16) as u8, &payload);
-        let m = &mut self.ms[mi];
-        let cost = m.sup.machine.cost;
-        m.sup.machine.clock.charge_wire_frame(&cost, bytes.len());
-        self.wire.send(mi, requester, FrameKind::Data, bytes);
-    }
-
-    /// See [`KernelFleet::execute_op`].
-    fn execute_op(&mut self, mi: usize, req: Req) -> (u8, u64) {
-        let Req {
-            op,
-            idx,
-            shard,
-            a,
-            b,
-        } = req;
-        let m = &mut self.ms[mi];
-        let sup = &mut m.sup;
-        let acl = LAcl::owner(LUserId(1));
-        match op {
-            OP_LINK => match sup.link(m.drv, "lib", &symbol(a as usize)) {
-                Ok(l) => (ST_OK, u64::from(l.offset)),
-                Err(e) => (lstatus(&e), 0),
-            },
-            OP_RESOLVE_LIB => match sup.resolve(m.drv, "lib", AccessRight::Read) {
-                Ok(_) => (ST_OK, 0),
-                Err(e) => (lstatus(&e), 0),
-            },
-            OP_RESOLVE_SHARED => match sup.resolve(m.drv, "shared", AccessRight::Read) {
-                Ok(_) => (ST_OK, 0),
-                Err(e) => (lstatus(&e), 0),
-            },
-            OP_RESOLVE_SHARD => match sup.resolve(m.drv, &format!("s{shard}"), AccessRight::Read) {
-                Ok(_) => (ST_OK, 0),
-                Err(e) => (lstatus(&e), 0),
-            },
-            OP_READ_SHARED => {
-                let Some(seg) = m.shared_segno else {
-                    return (ST_ERR, 0);
-                };
-                match sup.user_read(m.drv, seg, a * PAGE_WORDS as u32) {
-                    Ok(w) => (ST_OK, w.raw()),
-                    Err(e) => (lstatus(&e), 0),
-                }
-            }
-            OP_GROW => {
-                if !m.files.contains_key(&idx) {
-                    let shard_uid =
-                        match sup.resolve(m.drv, &format!("s{shard}"), AccessRight::Read) {
-                            Ok((uid, _)) => uid,
-                            Err(e) => return (lstatus(&e), 0),
-                        };
-                    let path = format!("s{shard}>{}", file_name(idx));
-                    let created = sup
-                        .create_segment_in(shard_uid, &file_name(idx), acl, Label::BOTTOM)
-                        .and_then(|_| sup.initiate(m.drv, &path));
-                    match created {
-                        Ok(segno) => {
-                            m.files.insert(idx, LFile { path, segno });
-                        }
-                        Err(e) => return (lstatus(&e), 0),
-                    }
-                }
-                let segno = m.files[&idx].segno;
-                match sup.user_write(m.drv, segno, a * PAGE_WORDS as u32, Word::new(b)) {
-                    Ok(()) => (ST_OK, 1),
-                    Err(e) => (lstatus(&e), 1),
-                }
-            }
-            OP_READ_OWN => {
-                let Some(segno) = m.files.get(&idx).map(|f| f.segno) else {
-                    return (ST_ERR, 0);
-                };
-                match sup.user_read(m.drv, segno, a * PAGE_WORDS as u32) {
-                    Ok(w) => (ST_OK, w.raw()),
-                    Err(e) => (lstatus(&e), 0),
-                }
-            }
-            OP_DELETE_OWN => {
-                let Some(f) = m.files.remove(&idx) else {
-                    return (ST_ERR, 0);
-                };
-                match sup.delete(m.drv, &f.path) {
-                    Ok(()) => (ST_OK, 0),
-                    Err(e) => (lstatus(&e), 0),
-                }
-            }
-            OP_MIG_OPEN => {
-                if m.files.contains_key(&idx) {
-                    return (ST_OK, 0);
-                }
-                let mig_uid = match sup.resolve(m.drv, "mig", AccessRight::Read) {
-                    Ok((uid, _)) => uid,
-                    Err(e) => return (lstatus(&e), 0),
-                };
-                let path = format!("mig>{}", file_name(idx));
-                let created = sup
-                    .create_segment_in(mig_uid, &file_name(idx), acl, Label::BOTTOM)
-                    .and_then(|_| sup.initiate(m.drv, &path));
-                match created {
-                    Ok(segno) => {
-                        m.files.insert(idx, LFile { path, segno });
-                        (ST_OK, 0)
-                    }
-                    Err(e) => (lstatus(&e), 0),
-                }
-            }
-            OP_MIG_WRITE => {
-                let Some(segno) = m.files.get(&idx).map(|f| f.segno) else {
-                    return (ST_ERR, 0);
-                };
-                match sup.user_write(m.drv, segno, a * PAGE_WORDS as u32, Word::new(b)) {
-                    Ok(()) => (ST_OK, 0),
-                    Err(e) => (lstatus(&e), 0),
-                }
-            }
-            OP_MIG_COMMIT => match sup.sync_to_disk() {
-                Ok(()) => (ST_OK, 0),
-                Err(e) => (lstatus(&e), 0),
-            },
-            _ => (ST_ERR, 0),
-        }
-    }
-
-    /// See [`KernelFleet::rpc`].
-    fn rpc(&mut self, src: usize, dst: usize, req: Req) -> Option<(u8, u64)> {
-        let bytes = Wire::frame(src as u8, &req.encode());
-        {
-            let m = &mut self.ms[src];
-            let cost = m.sup.machine.cost;
-            m.sup.machine.clock.charge_wire_frame(&cost, bytes.len());
-        }
-        self.wire.send(src, dst, FrameKind::Data, bytes);
-        self.remote_ops += 1;
-        self.pump();
-        let m = &mut self.ms[src];
-        match m.sup.network_read_channel(m.net, CH_RESP_BASE + dst as u16) {
-            Ok(bytes) if bytes.len() == RESP_LEN => Some((
-                bytes[0],
-                u64::from_le_bytes(bytes[1..9].try_into().expect("8 bytes")),
-            )),
-            _ => None,
-        }
-    }
-
-    /// See [`KernelFleet::daemon_call`].
-    fn daemon_call(&mut self, target: usize, home: usize, req: Req) -> Option<(u8, u64)> {
-        if target == home {
-            Some(self.execute_op(target, req))
-        } else {
-            self.rpc(home, target, req)
-        }
-    }
-
-    fn admit_one(&mut self, idx: usize) {
-        let home = self.homes[idx];
-        if home != 0 {
-            let bytes = Wire::frame(CH_DIRECTIVE, &[idx as u8, (idx >> 8) as u8]);
-            {
-                let m = &mut self.ms[0];
-                let cost = m.sup.machine.cost;
-                let g = m.sup.machine.clock.enter(Subsystem::AnsweringService);
-                m.sup.machine.clock.charge_wire_frame(&cost, bytes.len());
-                m.sup.machine.clock.exit(g);
-            }
-            self.wire.send(0, home, FrameKind::Directive, bytes);
-            self.pump();
-        }
-        let m = &mut self.ms[home];
-        match m.sup.login(&account_name(idx), "pw", Label::BOTTOM) {
-            Ok(pid) => {
-                self.sessions[idx] = Some(LSessionF {
-                    home,
-                    pid,
-                    own_segno: None,
-                    own_created: false,
-                    migrated: false,
-                    shared_segno: None,
-                    pages: Vec::new(),
-                });
-                self.live += 1;
-            }
-            Err(e) => self
-                .failures
-                .push(format!("login u{idx} refused at machine {home}: {e:?}")),
-        }
-    }
-
-    /// See [`KernelFleet::maybe_migrate`].
-    fn maybe_migrate(&mut self, idx: usize, shard: usize, owner: usize) {
-        let reloc = self.ms[owner].sup.stats.relocations;
-        if reloc <= self.ms[owner].reloc_seen {
-            return;
-        }
-        self.ms[owner].reloc_seen = reloc;
-        let (home, migrated, own_created, pages_len, pid) = {
-            let Some(s) = self.sessions[idx].as_ref() else {
-                return;
-            };
-            (s.home, s.migrated, s.own_created, s.pages.len(), s.pid)
-        };
-        if migrated || !own_created || pages_len == 0 {
-            return;
-        }
-        let mut vals = Vec::with_capacity(pages_len);
-        for page in 0..pages_len as u32 {
-            let read = if owner == home {
-                let Some(segno) = self.sessions[idx].as_ref().and_then(|s| s.own_segno) else {
-                    return;
-                };
-                self.ms[owner]
-                    .sup
-                    .user_read(pid, segno, page * PAGE_WORDS as u32)
-            } else {
-                let Some(segno) = self.ms[owner].files.get(&idx).map(|f| f.segno) else {
-                    return;
-                };
-                let drv = self.ms[owner].drv;
-                self.ms[owner]
-                    .sup
-                    .user_read(drv, segno, page * PAGE_WORDS as u32)
-            };
-            match read {
-                Ok(w) => vals.push(w.raw()),
-                Err(e) => {
-                    self.failures
-                        .push(format!("migration read u{idx} page {page}: {e:?}"));
-                    return;
-                }
-            }
-        }
-        match self.rpc(owner, 0, Req::new(OP_MIG_OPEN, idx, shard)) {
-            Some((ST_OK, _)) => {}
-            r => {
-                self.failures.push(format!("migration open u{idx}: {r:?}"));
-                return;
-            }
-        }
-        for (page, &val) in vals.iter().enumerate() {
-            match self.rpc(
-                owner,
-                0,
-                Req::new(OP_MIG_WRITE, idx, shard).arg(page as u32).val(val),
-            ) {
-                Some((ST_OK, _)) => {}
-                r => {
-                    self.failures
-                        .push(format!("migration write u{idx} page {page}: {r:?}"));
-                    return;
-                }
-            }
-        }
-        match self.rpc(owner, 0, Req::new(OP_MIG_COMMIT, idx, shard)) {
-            Some((ST_OK, _)) => {}
-            r => {
-                self.failures
-                    .push(format!("migration commit u{idx}: {r:?}"));
-                return;
-            }
-        }
-        if owner == home {
-            let own = self.sessions[idx].as_mut().and_then(|s| s.own_segno.take());
-            if own.is_some() {
-                let path = format!("s{shard}>{}", file_name(idx));
-                if let Err(e) = self.ms[owner].sup.delete(pid, &path) {
-                    self.failures
-                        .push(format!("migration source delete u{idx}: {e:?}"));
-                }
-            }
-        } else if let Some(f) = self.ms[owner].files.remove(&idx) {
-            let drv = self.ms[owner].drv;
-            if let Err(e) = self.ms[owner].sup.delete(drv, &f.path) {
-                self.failures
-                    .push(format!("migration source delete u{idx}: {e:?}"));
-            }
-        }
-        if let Some(s) = self.sessions[idx].as_mut() {
-            s.migrated = true;
-        }
-        self.migrations += 1;
-    }
-}
-
-impl Driver for LegacyFleet {
-    fn now(&self) -> u64 {
-        self.ms.iter().map(|m| m.sup.machine.clock.now()).sum()
-    }
-
-    fn queued(&self) -> usize {
-        self.front.len()
-    }
-
-    fn request(&mut self, idx: usize) -> bool {
-        if self.live < self.cap {
-            self.admit_one(idx);
-            true
-        } else {
-            self.front.push_back(idx);
-            false
-        }
-    }
-
-    fn admit(&mut self) -> Vec<usize> {
-        let mut out = Vec::new();
-        while self.live < self.cap {
-            let Some(idx) = self.front.pop_front() else {
-                break;
-            };
-            self.admit_one(idx);
-            out.push(idx);
-        }
-        out
-    }
-
-    fn exec(&mut self, idx: usize, shard: usize, action: &Action) -> String {
-        let (home, migrated) = {
-            let s = self.sessions[idx].as_ref().expect("live session");
-            (s.home, s.migrated)
-        };
-        self.last_active = home;
-        let machines = self.spec.machines;
-        match *action {
-            Action::Link(sym) => {
-                if home == 0 {
-                    let m = &mut self.ms[0];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    match m.sup.link(s.pid, "lib", &symbol(sym)) {
-                        Ok(l) => format!("l:{}", l.offset),
-                        Err(e) => format!("l:{}", llabel(&e)),
-                    }
-                } else {
-                    let resp = self.rpc(home, 0, Req::new(OP_LINK, idx, shard).arg(sym as u32));
-                    value_label("l", resp)
-                }
-            }
-            Action::Resolve(target) => {
-                let (dst, op) = match target {
-                    ResolveTarget::Lib => (0, OP_RESOLVE_LIB),
-                    ResolveTarget::Shared => (0, OP_RESOLVE_SHARED),
-                    ResolveTarget::Shard(j) => (j % machines, OP_RESOLVE_SHARD),
-                };
-                if dst == home {
-                    let path = match target {
-                        ResolveTarget::Lib => "lib".to_string(),
-                        ResolveTarget::Shared => "shared".to_string(),
-                        ResolveTarget::Shard(j) => format!("s{j}"),
-                    };
-                    let m = &mut self.ms[home];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    match m.sup.resolve(s.pid, &path, AccessRight::Read) {
-                        Ok(_) => "n:ok".to_string(),
-                        Err(e) => format!("n:{}", llabel(&e)),
-                    }
-                } else {
-                    let resp = self.rpc(home, dst, Req::new(op, idx, shard));
-                    ok_label("n", resp)
-                }
-            }
-            Action::Grow { page, val } => {
-                let owner = if migrated { 0 } else { shard % machines };
-                let label = if owner == home && !migrated {
-                    let m = &mut self.ms[home];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    let mut out = None;
-                    if s.own_segno.is_none() {
-                        let created = m
-                            .sup
-                            .resolve(s.pid, &format!("s{shard}"), AccessRight::Read)
-                            .and_then(|(shard_uid, _)| {
-                                m.sup.create_segment_in(
-                                    shard_uid,
-                                    &file_name(idx),
-                                    LAcl::owner(LUserId(1)),
-                                    Label::BOTTOM,
-                                )
-                            })
-                            .and_then(|_| {
-                                m.sup
-                                    .initiate(s.pid, &format!("s{shard}>{}", file_name(idx)))
-                            });
-                        match created {
-                            Ok(segno) => s.own_segno = Some(segno),
-                            Err(e) => out = Some(format!("w:{}", llabel(&e))),
-                        }
-                    }
-                    match out {
-                        Some(label) => label,
-                        None => {
-                            let segno = s.own_segno.expect("just created");
-                            s.own_created = true;
-                            match m.sup.user_write(
-                                s.pid,
-                                segno,
-                                page * PAGE_WORDS as u32,
-                                Word::new(val),
-                            ) {
-                                Ok(()) => "w:ok".to_string(),
-                                Err(e) => format!("w:{}", llabel(&e)),
-                            }
-                        }
-                    }
-                } else {
-                    let resp = self.daemon_call(
-                        owner,
-                        home,
-                        Req::new(OP_GROW, idx, shard).arg(page).val(val),
-                    );
-                    if let Some((_, exists)) = resp {
-                        if exists == 1 {
-                            self.sessions[idx]
-                                .as_mut()
-                                .expect("live session")
-                                .own_created = true;
-                        }
-                    }
-                    ok_label("w", resp)
-                };
-                if label == "w:ok" {
-                    self.sessions[idx]
-                        .as_mut()
-                        .expect("live session")
-                        .pages
-                        .push(val);
-                }
-                if self.spec.migratory && owner != 0 {
-                    self.maybe_migrate(idx, shard, owner);
-                }
-                label
-            }
-            Action::ReadOwn { page } => {
-                let owner = if migrated { 0 } else { shard % machines };
-                if owner == home && !migrated {
-                    let m = &mut self.ms[home];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    match s.own_segno {
-                        Some(segno) => {
-                            match m.sup.user_read(s.pid, segno, page * PAGE_WORDS as u32) {
-                                Ok(w) => format!("r:{}", w.raw()),
-                                Err(e) => format!("r:{}", llabel(&e)),
-                            }
-                        }
-                        None => "r:err".to_string(),
-                    }
-                } else {
-                    let resp =
-                        self.daemon_call(owner, home, Req::new(OP_READ_OWN, idx, shard).arg(page));
-                    value_label("r", resp)
-                }
-            }
-            Action::ReadShared { page } => {
-                if home == 0 {
-                    let m = &mut self.ms[0];
-                    let s = self.sessions[idx].as_mut().expect("live session");
-                    if s.shared_segno.is_none() {
-                        match m.sup.initiate(s.pid, "shared") {
-                            Ok(segno) => s.shared_segno = Some(segno),
-                            Err(e) => return format!("r:{}", llabel(&e)),
-                        }
-                    }
-                    let segno = s.shared_segno.expect("just initiated");
-                    match m.sup.user_read(s.pid, segno, page * PAGE_WORDS as u32) {
-                        Ok(w) => format!("r:{}", w.raw()),
-                        Err(e) => format!("r:{}", llabel(&e)),
-                    }
-                } else {
-                    let resp = self.rpc(home, 0, Req::new(OP_READ_SHARED, idx, shard).arg(page));
-                    value_label("r", resp)
-                }
-            }
-        }
-    }
-
-    fn finish(&mut self, idx: usize, shard: usize, abandon: bool) -> String {
-        let (home, pid, migrated, own_created, own_segno) = {
-            let s = self.sessions[idx].as_ref().expect("live session");
-            (s.home, s.pid, s.migrated, s.own_created, s.own_segno)
-        };
-        self.last_active = home;
-        let mut label = if abandon { "reap" } else { "out" }.to_string();
-        if !abandon && own_created {
-            let owner = if migrated {
-                0
-            } else {
-                shard % self.spec.machines
-            };
-            if owner == home && !migrated {
-                if own_segno.is_some() {
-                    let path = format!("s{shard}>{}", file_name(idx));
-                    match self.ms[home].sup.delete(pid, &path) {
-                        Ok(()) => {
-                            if let Some(s) = self.sessions[idx].as_mut() {
-                                s.own_segno = None;
-                            }
-                        }
-                        Err(_) => label = "out:err".to_string(),
-                    }
-                }
-            } else {
-                match self.daemon_call(owner, home, Req::new(OP_DELETE_OWN, idx, shard)) {
-                    Some((ST_OK, _)) => {}
-                    Some(_) => label = "out:err".to_string(),
-                    None => label = "out:lost".to_string(),
-                }
-            }
-        }
-        let m = &mut self.ms[home];
-        match m.sup.logout(&account_name(idx), pid) {
-            Ok(_) => {}
-            Err(_) => label = format!("{label}:err"),
-        }
-        self.sessions[idx] = None;
-        self.live -= 1;
-        label
-    }
-
-    fn schedule(&mut self) {
-        self.ms[self.last_active].sup.dispatch();
-    }
-
-    fn housekeep(&mut self) {
-        for mi in 0..self.ms.len() {
-            if let Err(e) = self.ms[mi].sup.sync_to_disk() {
-                self.failures
-                    .push(format!("machine {mi}: housekeeping sweep: {e:?}"));
-            }
-        }
-    }
+) -> FleetRun {
+    run_fleet::<Kernel>(spec, wire_policy)
 }
 
 /// Runs the fleet spec on the 1974 supervisor design. The
@@ -2294,66 +1271,7 @@ pub fn run_legacy_fleet(
     spec: &FleetSpec,
     wire_policy: Option<Box<dyn SchedulePolicy>>,
 ) -> FleetRun {
-    assert!(spec.machines >= 1, "a fleet needs at least one machine");
-    assert!(
-        !spec.dedicated_store || spec.machines >= 2,
-        "a dedicated store needs at least one member machine"
-    );
-    let base = spec.base();
-    let scripts = base.scripts();
-    let mut fleet = setup_legacy_fleet(spec, wire_policy);
-    let mut st = EngineState::new();
-    storm(&mut fleet, &scripts, &mut st);
-    drive_until(&mut fleet, &scripts, &mut st, None);
-    fleet.pump();
-
-    let per_machine_cycles: Vec<u64> = fleet
-        .ms
-        .iter()
-        .map(|m| m.sup.machine.clock.now() - m.setup_cycles)
-        .collect();
-    let mut edges = EdgeSet::new();
-    let mut violations = Vec::new();
-    let mut totals = Vec::new();
-    let mut relocations = 0;
-    for (i, m) in fleet.ms.iter().enumerate() {
-        edges.merge(&m.edge_base.delta(m.sup.machine.clock.edge_set()));
-        for v in oracle::check_legacy(&m.sup) {
-            violations.push(format!("machine {i}: {v}"));
-        }
-        totals.push(disk_totals(&m.sup.machine.disks));
-        relocations += m.sup.stats.relocations;
-    }
-    violations.extend(fleet_conservation(&totals));
-    violations.extend(fleet.failures.iter().cloned());
-    let store = &fleet.ms[0];
-    FleetRun {
-        design: "legacy",
-        machines: spec.machines,
-        cycles: per_machine_cycles.iter().sum(),
-        wall_cycles: per_machine_cycles.iter().copied().max().unwrap_or(0),
-        setup_cycles: fleet.ms.iter().map(|m| m.setup_cycles).sum(),
-        ops: st.ops,
-        sessions: spec.sessions,
-        abandoned: st.abandoned,
-        queued_peak: st.queued_peak,
-        parity: st.parity,
-        hist: st.hist,
-        admitted_order: st.admitted_order,
-        frames_sent: fleet.wire.sent,
-        frames_delivered: fleet.wire.delivered,
-        frames_dropped: fleet.wire.dropped,
-        remote_ops: fleet.remote_ops,
-        migrations: fleet.migrations,
-        relocations,
-        store_cycles: per_machine_cycles[0],
-        store_meter: store
-            .meter_base
-            .delta(&store.sup.machine.clock.meter_snapshot()),
-        per_machine_cycles,
-        edges,
-        violations,
-    }
+    run_fleet::<Supervisor>(spec, wire_policy)
 }
 
 #[cfg(test)]

@@ -4,25 +4,22 @@
 //! next (round robin over the live set), when the scripted scheduler
 //! pass happens (every fourth operation), when a finished session's
 //! slot is re-offered to the admission queue — and delegates the
-//! design-specific work to a [`Driver`]. Both drivers therefore execute
-//! the byte-identical logical stream, which is what makes the
-//! user-visible parity assertion meaningful.
+//! design-specific work to a [`Harness`]. The one-machine harness,
+//! [`Driver`], is written once over [`Design`], so both supervisors
+//! execute the byte-identical logical stream through the same code,
+//! which is what makes the user-visible parity assertion meaningful.
 
+use crate::design::{gate_retry, Design, Shape, Step};
 use crate::hist::Histogram;
 use crate::script::{session_script, SessionOp, SessionScript, LIB_SYMBOLS, SHARED_PAGES};
-use mx_aim::Label;
 use mx_explore::oracle;
 use mx_hw::meter::{EdgeSet, MeterSnapshot};
 use mx_hw::{Word, PAGE_WORDS};
-use mx_kernel::{
-    Acl, Kernel, KernelConfig, KernelError, ObjToken, OnlineProgress, ProcessId, UserId,
-};
-use mx_legacy::{
-    AccessRight, Acl as LAcl, LegacyError, LegacyOnlineProgress, ProcessId as LProcessId,
-    Supervisor, SupervisorConfig, UserId as LUserId,
-};
+use mx_kernel::Kernel;
+use mx_legacy::Supervisor;
 use mx_sync::SchedulePolicy;
-use mx_user::{publish_library, Admission, AnsweringService, NameSpace, UserLinker};
+
+pub(crate) const PW: u32 = PAGE_WORDS as u32;
 
 /// What to run: how many sessions, from which seed, on what storage.
 #[derive(Debug, Clone, Copy)]
@@ -80,7 +77,7 @@ impl LoadSpec {
         }
     }
 
-    fn shards(&self) -> usize {
+    pub(crate) fn shards(&self) -> usize {
         if self.tight_storage {
             2
         } else {
@@ -88,7 +85,7 @@ impl LoadSpec {
         }
     }
 
-    fn shard_quota(&self) -> u32 {
+    pub(crate) fn shard_quota(&self) -> u32 {
         if self.tight_storage {
             3
         } else {
@@ -98,69 +95,29 @@ impl LoadSpec {
         }
     }
 
-    pub(crate) fn kernel_config(&self) -> KernelConfig {
-        if self.tight_storage {
-            if self.headroom {
-                return KernelConfig {
-                    frames: 96,
-                    packs: 2,
-                    records_per_pack: 64,
-                    toc_slots_per_pack: 96,
-                    max_processes: 4,
-                    root_quota: 512,
-                    ..KernelConfig::default()
-                };
-            }
-            KernelConfig {
-                frames: 96,
-                packs: 2,
-                records_per_pack: 12,
-                toc_slots_per_pack: 24,
-                max_processes: 4,
-                root_quota: 96,
-                ..KernelConfig::default()
-            }
-        } else {
+    /// The machine both designs boot for this spec.
+    pub(crate) fn shape(&self) -> Shape {
+        if !self.tight_storage {
             let n = self.sessions as u32;
-            KernelConfig {
+            return Shape {
                 records_per_pack: (3 * n).max(1024),
                 toc_slots_per_pack: (2 * n).max(256),
                 root_quota: (2 * n + 256).max(1500),
-                ..KernelConfig::default()
-            }
+                ..Shape::DEFAULT
+            };
         }
-    }
-
-    pub(crate) fn supervisor_config(&self) -> SupervisorConfig {
-        if self.tight_storage {
-            if self.headroom {
-                return SupervisorConfig {
-                    frames: 96,
-                    packs: 2,
-                    records_per_pack: 64,
-                    toc_slots_per_pack: 96,
-                    ast_slots: 64,
-                    max_processes: 4,
-                    root_quota_pages: 512,
-                };
-            }
-            SupervisorConfig {
-                frames: 96,
-                packs: 2,
-                records_per_pack: 12,
-                toc_slots_per_pack: 24,
-                ast_slots: 64,
-                max_processes: 4,
-                root_quota_pages: 96,
-            }
+        let (records_per_pack, toc_slots_per_pack, root_quota) = if self.headroom {
+            (64, 96, 512)
         } else {
-            let n = self.sessions as u32;
-            SupervisorConfig {
-                records_per_pack: (3 * n).max(1024),
-                toc_slots_per_pack: (2 * n).max(256),
-                root_quota_pages: (2 * n + 256).max(1500),
-                ..SupervisorConfig::default()
-            }
+            (12, 24, 96)
+        };
+        Shape {
+            frames: 96,
+            packs: 2,
+            records_per_pack,
+            toc_slots_per_pack,
+            max_processes: 4,
+            root_quota,
         }
     }
 
@@ -185,14 +142,6 @@ impl LoadSpec {
         (0..self.sessions)
             .map(|i| session_script(self.seed, i, self.shards()))
             .collect()
-    }
-
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards()
-    }
-
-    pub(crate) fn shard_quota_pages(&self) -> u32 {
-        self.shard_quota()
     }
 }
 
@@ -298,8 +247,19 @@ pub(crate) enum ResolveTarget {
     Shard(usize),
 }
 
-/// The design-specific half of the harness.
-pub(crate) trait Driver {
+impl ResolveTarget {
+    /// The root entry the target names.
+    pub(crate) fn name(self) -> String {
+        match self {
+            ResolveTarget::Lib => "lib".to_string(),
+            ResolveTarget::Shared => "shared".to_string(),
+            ResolveTarget::Shard(j) => shard_name(j),
+        }
+    }
+}
+
+/// What the engine drives: one machine ([`Driver`]) or a fleet.
+pub(crate) trait Harness {
     fn now(&self) -> u64;
     fn queued(&self) -> usize;
     /// Login attempt for session `idx`: true = admitted, false = parked
@@ -392,7 +352,7 @@ impl EngineState {
 }
 
 /// The login storm: every user arrives before anyone acts.
-pub(crate) fn storm<D: Driver>(d: &mut D, scripts: &[SessionScript], st: &mut EngineState) {
+pub(crate) fn storm<H: Harness>(d: &mut H, scripts: &[SessionScript], st: &mut EngineState) {
     for idx in 0..scripts.len() {
         if d.request(idx) {
             st.live.push(Live::fresh(idx));
@@ -407,8 +367,8 @@ pub(crate) fn storm<D: Driver>(d: &mut D, scripts: &[SessionScript], st: &mut En
 /// one: a cursor sweeps the live vector, wrapping to the front when it
 /// falls off the end, so a paused-and-resumed run visits sessions in the
 /// same order an uninterrupted run does.
-pub(crate) fn drive_until<D: Driver>(
-    d: &mut D,
+pub(crate) fn drive_until<H: Harness>(
+    d: &mut H,
     scripts: &[SessionScript],
     st: &mut EngineState,
     stop_at: Option<u64>,
@@ -488,20 +448,13 @@ pub(crate) fn drive_until<D: Driver>(
     }
 }
 
-fn drive<D: Driver>(d: &mut D, scripts: &[SessionScript]) -> EngineState {
-    let mut st = EngineState::new();
-    storm(d, scripts, &mut st);
-    drive_until(d, scripts, &mut st, None);
-    st
-}
-
 // ----------------------------------------------------- shared fixtures --
 
 pub(crate) fn account_name(idx: usize) -> String {
     format!("u{idx}")
 }
 
-fn account_index(name: &str) -> usize {
+pub(crate) fn account_index(name: &str) -> usize {
     name.strip_prefix('u')
         .and_then(|s| s.parse().ok())
         .expect("load account names are u<idx>")
@@ -523,6 +476,105 @@ pub(crate) fn shared_word(page: u32) -> u64 {
 
 pub(crate) fn file_name(idx: usize) -> String {
     format!("f{idx}")
+}
+
+pub(crate) fn shard_name(j: usize) -> String {
+    format!("s{j}")
+}
+
+/// Finds (unless `fresh`) or creates root segment `name`.
+fn fixture<D: Design>(
+    sys: &mut D,
+    probe: &mut SalvageProbe,
+    drv: D::Pid,
+    name: &str,
+    fresh: bool,
+) -> Result<D::Dir, String> {
+    if !fresh {
+        if let Ok(obj) = gate_retry(sys, probe, &format!("{name} search"), |d| {
+            d.search(drv, name)
+        }) {
+            return Ok(obj);
+        }
+    }
+    gate_retry(sys, probe, &format!("{name} recreate"), |d| {
+        d.create_seg(drv, name)
+    })
+}
+
+/// The shared fixtures every session reaches: the library with its
+/// definitions published, and the read-mostly shared segment with every
+/// page written. A fresh world creates both; a recovering one keeps
+/// what survived on disk, recreates what the crash cost, and publishes
+/// and rewrites either way (cheap, idempotent, and repairs a torn page).
+/// Returns the driver's segment number for the shared segment.
+pub(crate) fn publish_fixtures<D: Design>(
+    sys: &mut D,
+    probe: &mut SalvageProbe,
+    drv: D::Pid,
+    fresh: bool,
+) -> Result<u32, String> {
+    let lib = fixture(sys, probe, drv, "lib", fresh)?;
+    sys.publish_lib(probe, drv, lib)?;
+    let shared = fixture(sys, probe, drv, "shared", fresh)?;
+    let segno = gate_retry(sys, probe, "shared initiate", |d| {
+        d.initiate(drv, shared, "shared")
+    })?;
+    for page in 0..SHARED_PAGES {
+        gate_retry(sys, probe, &format!("shared page {page}"), |d| {
+            d.write(drv, segno, page * PW, Word::new(shared_word(page)))
+        })?;
+    }
+    Ok(segno)
+}
+
+/// Creates quota-capped root directory `name`.
+pub(crate) fn make_dir<D: Design>(
+    sys: &mut D,
+    probe: &mut SalvageProbe,
+    drv: D::Pid,
+    name: &str,
+    quota: u32,
+) -> Result<D::Dir, String> {
+    let dir = gate_retry(sys, probe, &format!("shard {name} recreate"), |d| {
+        d.create_dir(drv, name)
+    })?;
+    gate_retry(sys, probe, &format!("shard {name} quota"), |d| {
+        d.set_quota(drv, dir, name, quota)
+    })?;
+    Ok(dir)
+}
+
+/// Creates and initiates session `idx`'s own file in directory
+/// `dir_name`, reaching the directory the way the session does.
+pub(crate) fn create_file<D: Design>(
+    sys: &mut D,
+    pid: D::Pid,
+    dir: D::Dir,
+    dir_name: &str,
+    idx: usize,
+) -> Result<u32, D::Error> {
+    let dir = sys.file_dir(pid, dir, dir_name)?;
+    sys.create_in(pid, dir, dir_name, &file_name(idx))
+}
+
+/// Recreates session `idx`'s file in `dir` and replays its contents.
+pub(crate) fn restore_file<D: Design>(
+    sys: &mut D,
+    pid: D::Pid,
+    dir: D::Dir,
+    dir_name: &str,
+    idx: usize,
+    vals: &[u64],
+) -> Result<u32, String> {
+    let segno = sys
+        .create_in(pid, dir, dir_name, &file_name(idx))
+        .map_err(|e| format!("survivor u{idx} file recreate: {e:?}"))?;
+    for (page, &val) in vals.iter().enumerate() {
+        sys.write(pid, segno, page as u32 * PW, Word::new(val))
+            .map_err(|e| format!("survivor u{idx} replay page {page}: {e:?}"))?;
+    }
+    Ok(segno)
 }
 
 // --------------------------------------------- online-salvage plumbing --
@@ -566,6 +618,47 @@ pub struct SalvageProbe {
     pub violations: Vec<String>,
 }
 
+impl SalvageProbe {
+    /// One salvager step with the per-release battery applied: recheck
+    /// verdict, meter conservation, serving-half record conservation at
+    /// every release, and the full oracle battery at `Done`. Shared by
+    /// the driver's tick and the recovery reconcile, which steps the
+    /// salvager before any driver exists.
+    pub(crate) fn step<D: Design>(&mut self, d: &mut D) {
+        match d.salvage_step() {
+            Ok(Step::Released { dir, recheck_clean }) => {
+                self.dirs_released += 1;
+                if !recheck_clean {
+                    self.violations.push(format!(
+                        "released dir uid {dir} with a failing recheck — \
+                         per-directory salvage not idempotent"
+                    ));
+                }
+                let m = d.machine();
+                let found = oracle::check_meter(&m.clock)
+                    .into_iter()
+                    .chain(check_serving_records(&m.disks));
+                for v in found {
+                    self.violations
+                        .push(format!("at release of uid {dir}: {v}"));
+                }
+            }
+            Ok(Step::Done { problems, repairs }) => {
+                self.done_at = Some(d.machine().clock.now());
+                self.problems = problems;
+                self.repairs = repairs;
+                for v in d.oracle() {
+                    self.violations.push(format!("post-salvage: {v}"));
+                }
+            }
+            Ok(Step::Quiet) => {}
+            Err(e) => self
+                .violations
+                .push(format!("online salvage step failed: {e:?}")),
+        }
+    }
+}
+
 /// The serving-half storage check run at every directory release: every
 /// record a TOC file map references must be allocated, and no record
 /// may be claimed by two file maps. Leaked records — allocated but
@@ -598,105 +691,13 @@ pub(crate) fn check_serving_records(disks: &mx_hw::DiskSystem) -> Vec<String> {
     out
 }
 
-/// One kernel salvage step with the per-release battery applied:
-/// recheck verdict, meter conservation, serving-half record
-/// conservation at every `Released`, and the full oracle battery at
-/// `Done`. Shared by the driver's tick and the S1 reconciliation (which
-/// steps the salvager before any driver exists).
-pub(crate) fn kernel_salvage_step_checked(k: &mut Kernel, probe: &mut SalvageProbe) {
-    match k.online_salvage_step() {
-        Ok(OnlineProgress::Released {
-            dir, recheck_clean, ..
-        }) => {
-            probe.dirs_released += 1;
-            if !recheck_clean {
-                probe.violations.push(format!(
-                    "released dir uid {} with a failing recheck — \
-                     per-directory salvage not idempotent",
-                    dir.0
-                ));
-            }
-            for v in oracle::check_meter(&k.machine.clock) {
-                probe
-                    .violations
-                    .push(format!("at release of uid {}: {v}", dir.0));
-            }
-            for v in check_serving_records(&k.machine.disks) {
-                probe
-                    .violations
-                    .push(format!("at release of uid {}: {v}", dir.0));
-            }
-        }
-        Ok(OnlineProgress::Done { report }) => {
-            probe.done_at = Some(k.machine.clock.now());
-            probe.problems = report.problems.len();
-            probe.repairs = report.repairs.len();
-            for v in oracle::check_kernel(k) {
-                probe.violations.push(format!("post-salvage: {v}"));
-            }
-        }
-        Ok(OnlineProgress::Finalized { .. }) | Ok(OnlineProgress::Idle) => {}
-        Err(e) => probe
-            .violations
-            .push(format!("online salvage step failed: {e:?}")),
-    }
-}
+// ------------------------------------------------------------ driver --
 
-/// The legacy mirror of [`kernel_salvage_step_checked`].
-pub(crate) fn legacy_salvage_step_checked(sup: &mut Supervisor, probe: &mut SalvageProbe) {
-    match sup.online_salvage_step() {
-        Ok(LegacyOnlineProgress::Released {
-            dir, recheck_clean, ..
-        }) => {
-            probe.dirs_released += 1;
-            if !recheck_clean {
-                probe.violations.push(format!(
-                    "released dir uid {} with a failing recheck — \
-                     per-directory salvage not idempotent",
-                    dir.0
-                ));
-            }
-            for v in oracle::check_meter(&sup.machine.clock) {
-                probe
-                    .violations
-                    .push(format!("at release of uid {}: {v}", dir.0));
-            }
-            for v in check_serving_records(&sup.machine.disks) {
-                probe
-                    .violations
-                    .push(format!("at release of uid {}: {v}", dir.0));
-            }
-        }
-        Ok(LegacyOnlineProgress::Done { report }) => {
-            probe.done_at = Some(sup.machine.clock.now());
-            probe.problems = report.problems.len();
-            probe.repairs = report.repairs.len();
-            for v in oracle::check_legacy(sup) {
-                probe.violations.push(format!("post-salvage: {v}"));
-            }
-        }
-        Ok(LegacyOnlineProgress::Finalized { .. }) | Ok(LegacyOnlineProgress::Idle) => {}
-        Err(e) => probe
-            .violations
-            .push(format!("online salvage step failed: {e:?}")),
-    }
-}
-
-// ------------------------------------------------------- kernel driver --
-
-pub(crate) fn klabel(e: &KernelError) -> &'static str {
-    match e {
-        KernelError::QuotaExceeded { .. } => "quota",
-        KernelError::AllPacksFull => "full",
-        _ => "err",
-    }
-}
-
-pub(crate) struct KSession {
-    pub(crate) pid: ProcessId,
-    pub(crate) ns: NameSpace,
-    pub(crate) linker: UserLinker,
-    pub(crate) own: Option<(u32, ObjToken)>,
+pub(crate) struct Session<D: Design> {
+    pub(crate) pid: D::Pid,
+    pub(crate) env: D::Env,
+    /// The session's own file, once created.
+    pub(crate) own: Option<u32>,
     pub(crate) shared_segno: Option<u32>,
 }
 
@@ -705,31 +706,40 @@ pub(crate) struct KSession {
 /// replay of surviving sessions' file contents wait until the shard
 /// directory is released (or, if the crash cost the entry itself, until
 /// it is recreated).
-#[derive(Debug, Clone)]
-pub(crate) struct KernelDeferred {
+pub(crate) struct Deferred<D: Design> {
     pub(crate) shard: usize,
-    pub(crate) drv: ProcessId,
+    pub(crate) drv: D::Pid,
     pub(crate) quota: u32,
     pub(crate) wipe: Vec<usize>,
     pub(crate) restore: Vec<(usize, Vec<u64>)>,
 }
 
-pub(crate) struct KernelDriver {
-    pub(crate) k: Kernel,
-    pub(crate) svc: AnsweringService,
-    pub(crate) sessions: Vec<Option<KSession>>,
-    pub(crate) shard_toks: Vec<ObjToken>,
+/// One machine serving the population.
+pub(crate) struct Driver<D: Design> {
+    pub(crate) sys: D,
+    pub(crate) front: D::Front,
+    pub(crate) sessions: Vec<Option<Session<D>>>,
+    /// Shard directories, by shard index.
+    pub(crate) dirs: Vec<D::Dir>,
     pub(crate) salvage: SalvageProbe,
-    pub(crate) deferred: Vec<KernelDeferred>,
+    pub(crate) deferred: Vec<Deferred<D>>,
 }
 
-impl KernelDriver {
-    pub(crate) fn open(&mut self, idx: usize, pid: ProcessId) {
-        let ns = NameSpace::new(&mut self.k, pid);
-        self.sessions[idx] = Some(KSession {
+/// The operator-side handles a harness keeps after world setup: the
+/// driver account's process and its window onto the shared segment.
+/// Plain load runs discard this; the recovery harness uses it to write
+/// its epoch beacon and to reconcile the world after a crash.
+pub(crate) struct WorldCtx<P> {
+    pub(crate) drv: P,
+    pub(crate) shared_segno: u32,
+}
+
+impl<D: Design> Driver<D> {
+    pub(crate) fn open(&mut self, idx: usize, pid: D::Pid) {
+        let env = self.sys.open_env(pid);
+        self.sessions[idx] = Some(Session {
             pid,
-            ns,
-            linker: UserLinker::new(pid),
+            env,
             own: None,
             shared_segno: None,
         });
@@ -737,9 +747,28 @@ impl KernelDriver {
 
     /// One salvager step (with the release battery) if a salvage is in
     /// progress, then whatever deferred shard work became serviceable.
-    fn salvage_advance(&mut self) {
-        if self.k.online_salvage_active() {
-            kernel_salvage_step_checked(&mut self.k, &mut self.salvage);
+    pub(crate) fn salvage_advance(&mut self) {
+        if self.sys.salvage_active() {
+            self.salvage.step(&mut self.sys);
+        }
+        self.attempt_deferred();
+    }
+
+    /// Runs any salvage still in flight to completion and applies
+    /// whatever shard repair work its releases unlocked. Called at epoch
+    /// boundaries so the boundary oracle battery (and the next crash)
+    /// never race an unfinished repair.
+    pub(crate) fn drain_salvage(&mut self) {
+        let mut guard = 0u32;
+        while self.sys.salvage_active() {
+            self.salvage.step(&mut self.sys);
+            guard += 1;
+            if guard > 10_000 {
+                self.salvage
+                    .violations
+                    .push("online salvage failed to terminate within 10000 steps".to_string());
+                break;
+            }
         }
         self.attempt_deferred();
     }
@@ -750,56 +779,53 @@ impl KernelDriver {
     pub(crate) fn attempt_deferred(&mut self) {
         let mut i = 0;
         while i < self.deferred.len() {
-            match self.try_deferred(i) {
-                Ok(true) => {
-                    self.deferred.remove(i);
+            let ran = match self.open_deferred(i) {
+                Ok(None) => {
+                    i += 1;
+                    continue;
                 }
-                Ok(false) => i += 1,
+                Ok(Some(dir)) => {
+                    let work = self.deferred.remove(i);
+                    self.run_deferred(work, dir)
+                }
                 Err(msg) => {
-                    self.salvage.violations.push(msg);
                     self.deferred.remove(i);
+                    Err(msg)
                 }
+            };
+            if let Err(msg) = ran {
+                self.salvage.violations.push(msg);
             }
         }
     }
 
-    /// `Ok(true)` = the shard's wipe and restores ran to completion;
-    /// `Ok(false)` = the shard is still quarantined.
-    fn try_deferred(&mut self, i: usize) -> Result<bool, String> {
+    /// `Ok(Some(dir))` = item `i`'s shard is serviceable; `Ok(None)` =
+    /// it is still quarantined.
+    fn open_deferred(&mut self, i: usize) -> Result<Option<D::Dir>, String> {
         let (shard, drv, quota) = {
             let w = &self.deferred[i];
             (w.shard, w.drv, w.quota)
         };
-        match self.k.list_dir(drv, self.shard_toks[shard]) {
-            Err(KernelError::SalvageBusy) => return Ok(false),
-            Ok(_) => {}
+        let name = shard_name(shard);
+        match self.sys.open_dir(drv, self.dirs[shard], &name) {
+            Err(e) if D::is_busy(&e) => Ok(None),
+            Ok(dir) => Ok(Some(dir)),
             Err(_) => {
                 // The crash (or the salvager clearing a mangled entry)
                 // cost us the shard directory itself: recreate and
                 // re-cap it. A directory created through the gates is
                 // born released, so the work below proceeds.
-                let root = self.k.root_token();
-                let tok = self
-                    .k
-                    .create_entry(
-                        drv,
-                        root,
-                        &format!("s{shard}"),
-                        Acl::owner(UserId(1)),
-                        Label::BOTTOM,
-                        true,
-                    )
-                    .map_err(|e| format!("shard s{shard} recreate: {e:?}"))?;
-                self.k
-                    .set_quota(drv, tok, quota)
-                    .map_err(|e| format!("shard s{shard} quota: {e:?}"))?;
-                self.shard_toks[shard] = tok;
+                let dir = make_dir(&mut self.sys, &mut self.salvage, drv, &name, quota)?;
+                self.dirs[shard] = dir;
+                Ok(Some(dir))
             }
         }
-        let tok = self.shard_toks[shard];
-        let work = self.deferred[i].clone();
+    }
+
+    fn run_deferred(&mut self, work: Deferred<D>, dir: D::Dir) -> Result<(), String> {
+        let name = shard_name(work.shard);
         for idx in &work.wipe {
-            let _ = self.k.delete_entry(drv, tok, &file_name(*idx));
+            let _ = self.sys.delete_file(work.drv, dir, &name, &file_name(*idx));
         }
         for (idx, vals) in &work.restore {
             // A survivor that finished before its shard was released
@@ -807,254 +833,96 @@ impl KernelDriver {
             let Some(pid) = self.sessions[*idx].as_ref().map(|s| s.pid) else {
                 continue;
             };
-            let ftok = self
-                .k
-                .create_entry(
-                    pid,
-                    tok,
-                    &file_name(*idx),
-                    Acl::owner(UserId(1)),
-                    Label::BOTTOM,
-                    false,
-                )
-                .map_err(|e| format!("survivor u{idx} file recreate: {e:?}"))?;
-            let segno = self
-                .k
-                .initiate(pid, ftok)
-                .map_err(|e| format!("survivor u{idx} file initiate: {e:?}"))?;
-            for (page, &val) in vals.iter().enumerate() {
-                self.k
-                    .write_word(pid, segno, page as u32 * PAGE_WORDS as u32, Word::new(val))
-                    .map_err(|e| format!("survivor u{idx} replay page {page}: {e:?}"))?;
-            }
+            let segno = restore_file(&mut self.sys, pid, dir, &name, *idx, vals)?;
             if let Some(s) = self.sessions[*idx].as_mut() {
-                s.own = Some((segno, ftok));
+                s.own = Some(segno);
             }
         }
-        Ok(true)
-    }
-}
-
-impl Driver for KernelDriver {
-    fn now(&self) -> u64 {
-        self.k.machine.clock.now()
+        Ok(())
     }
 
-    fn queued(&self) -> usize {
-        self.svc.queued_logins()
-    }
-
-    fn request(&mut self, idx: usize) -> bool {
-        let start = self.k.machine.clock.now();
+    /// Runs `once` until it gets past every `SalvageBusy` barrier (it
+    /// returns `None` while barred), stepping the salvager between
+    /// attempts and charging the wait to the probe's blocked-op figures.
+    /// `None` = the retry budget ran out; `what` names the op for the
+    /// violation.
+    fn blocked<T>(
+        &mut self,
+        what: impl FnOnce() -> String,
+        mut once: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<T> {
+        let start = self.now();
         let mut attempts = 0u32;
         loop {
-            match self
-                .svc
-                .login_or_queue(&mut self.k, &account_name(idx), "pw", Label::BOTTOM)
-            {
-                Ok(Admission::Admitted(pid)) => {
-                    if attempts > 0 {
-                        self.salvage.blocked_cycles += self.k.machine.clock.now() - start;
-                    }
-                    self.open(idx, pid);
-                    return true;
-                }
-                Ok(Admission::Queued(_)) => {
-                    if attempts > 0 {
-                        self.salvage.blocked_cycles += self.k.machine.clock.now() - start;
-                    }
-                    return false;
-                }
-                Err(KernelError::SalvageBusy) => {
-                    attempts += 1;
-                    if attempts == 1 {
-                        self.salvage.blocked_ops += 1;
-                    }
-                    if attempts > SALVAGE_RETRY_BUDGET {
-                        self.salvage.blocked_cycles += self.k.machine.clock.now() - start;
-                        self.salvage.violations.push(format!(
-                            "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted \
-                             logging in u{idx}"
-                        ));
-                        return false;
-                    }
-                    self.salvage.retries += 1;
-                    self.salvage_advance();
-                }
-                Err(e) => {
-                    // Load accounts always authenticate; anything else
-                    // is reported through the probe, never a panic.
-                    self.salvage
-                        .violations
-                        .push(format!("login u{idx} refused: {e:?}"));
-                    return false;
-                }
-            }
-        }
-    }
-
-    fn admit(&mut self) -> Vec<usize> {
-        let admitted = self.svc.admit_waiting(&mut self.k);
-        admitted
-            .into_iter()
-            .map(|(name, pid)| {
-                let idx = account_index(&name);
-                self.open(idx, pid);
-                idx
-            })
-            .collect()
-    }
-
-    fn exec(&mut self, idx: usize, shard: usize, action: &Action) -> String {
-        let start = self.k.machine.clock.now();
-        let mut attempts = 0u32;
-        loop {
-            if let Some(label) = self.exec_once(idx, shard, action) {
+            if let Some(v) = once(self) {
                 if attempts > 0 {
-                    self.salvage.blocked_cycles += self.k.machine.clock.now() - start;
+                    self.salvage.blocked_cycles += self.now() - start;
                 }
-                return label;
+                return Some(v);
             }
             attempts += 1;
             if attempts == 1 {
                 self.salvage.blocked_ops += 1;
             }
             if attempts > SALVAGE_RETRY_BUDGET {
-                self.salvage.blocked_cycles += self.k.machine.clock.now() - start;
+                self.salvage.blocked_cycles += self.now() - start;
                 self.salvage.violations.push(format!(
-                    "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted by \
-                     session {idx} mid-script"
+                    "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted {}",
+                    what()
                 ));
-                return "busy".to_string();
+                return None;
             }
             self.salvage.retries += 1;
             self.salvage_advance();
         }
     }
 
-    fn finish(&mut self, idx: usize, shard: usize, abandon: bool) -> String {
-        let start = self.k.machine.clock.now();
-        let mut attempts = 0u32;
-        loop {
-            if let Some(label) = self.finish_once(idx, shard, abandon) {
-                if attempts > 0 {
-                    self.salvage.blocked_cycles += self.k.machine.clock.now() - start;
-                }
-                return label;
-            }
-            attempts += 1;
-            if attempts == 1 {
-                self.salvage.blocked_ops += 1;
-            }
-            if attempts > SALVAGE_RETRY_BUDGET {
-                self.salvage.blocked_cycles += self.k.machine.clock.now() - start;
-                self.salvage.violations.push(format!(
-                    "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted by \
-                     session {idx} at logout"
-                ));
-                return "busy".to_string();
-            }
-            self.salvage.retries += 1;
-            self.salvage_advance();
-        }
-    }
-
-    fn schedule(&mut self) {
-        self.k.schedule();
-    }
-
-    fn housekeep(&mut self) {
-        self.k.sync_to_disk().expect("kernel housekeeping sweep");
-    }
-
-    fn salvage_tick(&mut self) {
-        if self.salvage.first_op_at.is_none() {
-            self.salvage.first_op_at = Some(self.k.machine.clock.now());
-        }
-        if self.k.online_salvage_active() {
-            self.salvage.ops_overlapped += 1;
-            self.salvage_advance();
-        } else if !self.deferred.is_empty() {
-            self.attempt_deferred();
-        }
-    }
-}
-
-impl KernelDriver {
     /// One attempt at an action. `None` means a `SalvageBusy` barrier
     /// was hit: the caller steps the salvager and retries. Every arm is
     /// retry-idempotent — partial effects (a created file, a cleared
     /// `own`) are recorded on the session before the barrier can fire.
     fn exec_once(&mut self, idx: usize, shard: usize, action: &Action) -> Option<String> {
-        let shard_tok = self.shard_toks[shard];
+        let dir = self.dirs[shard];
         let s = self.sessions[idx].as_mut().expect("live session");
-        let k = &mut self.k;
+        let sys = &mut self.sys;
         Some(match *action {
-            Action::Link(sym) => match s.linker.link(k, &mut s.ns, ">lib", &symbol(sym)) {
-                Ok(l) => format!("l:{}", l.offset),
-                Err(KernelError::SalvageBusy) => return None,
-                Err(e) => format!("l:{}", klabel(&e)),
-            },
+            Action::Link(sym) => {
+                return barred::<D, _>("l", sys.link(s.pid, &mut s.env, &symbol(sym)))
+            }
             Action::Resolve(target) => {
-                let path = match target {
-                    ResolveTarget::Lib => ">lib".to_string(),
-                    ResolveTarget::Shared => ">shared".to_string(),
-                    ResolveTarget::Shard(j) => format!(">s{j}"),
-                };
-                match s.ns.resolve(k, &path) {
-                    Ok(_) => "n:ok".to_string(),
-                    Err(KernelError::SalvageBusy) => return None,
-                    Err(e) => format!("n:{}", klabel(&e)),
-                }
+                let got = sys.resolve(s.pid, &mut s.env, &target.name());
+                return barred::<D, _>("n", got.map(|()| "ok"));
             }
             Action::Grow { page, val } => {
                 if s.own.is_none() {
-                    let created = k
-                        .create_entry(
-                            s.pid,
-                            shard_tok,
-                            &file_name(idx),
-                            Acl::owner(UserId(1)),
-                            Label::BOTTOM,
-                            false,
-                        )
-                        .and_then(|tok| k.initiate(s.pid, tok).map(|segno| (segno, tok)));
-                    match created {
-                        Ok(pair) => s.own = Some(pair),
-                        Err(KernelError::SalvageBusy) => return None,
-                        Err(e) => return Some(format!("w:{}", klabel(&e))),
+                    match create_file(sys, s.pid, dir, &shard_name(shard), idx) {
+                        Ok(segno) => s.own = Some(segno),
+                        Err(e) if D::is_busy(&e) => return None,
+                        Err(e) => return Some(format!("w:{}", D::label(&e))),
                     }
                 }
-                let (segno, _) = s.own.expect("just created");
-                match k.write_word(s.pid, segno, page * PAGE_WORDS as u32, Word::new(val)) {
-                    Ok(()) => "w:ok".to_string(),
-                    Err(e) => format!("w:{}", klabel(&e)),
-                }
+                let segno = s.own.expect("just created");
+                let got = sys.write(s.pid, segno, page * PW, Word::new(val));
+                labelled::<D, _>("w", got.map(|()| "ok"))
             }
             Action::ReadOwn { page } => {
                 // A survivor whose file restoration is still deferred
                 // behind a quarantined shard has grown pages but no
                 // segment yet: the op is blocked until the shard's
                 // release replays the file.
-                let (segno, _) = s.own?;
-                match k.read_word(s.pid, segno, page * PAGE_WORDS as u32) {
-                    Ok(w) => format!("r:{}", w.raw()),
-                    Err(e) => format!("r:{}", klabel(&e)),
-                }
+                let segno = s.own?;
+                labelled::<D, _>("r", sys.read(s.pid, segno, page * PW).map(|w| w.raw()))
             }
             Action::ReadShared { page } => {
                 if s.shared_segno.is_none() {
-                    match s.ns.initiate(k, ">shared") {
+                    match sys.initiate_path(s.pid, &mut s.env, "shared") {
                         Ok(segno) => s.shared_segno = Some(segno),
-                        Err(KernelError::SalvageBusy) => return None,
-                        Err(e) => return Some(format!("r:{}", klabel(&e))),
+                        Err(e) if D::is_busy(&e) => return None,
+                        Err(e) => return Some(format!("r:{}", D::label(&e))),
                     }
                 }
                 let segno = s.shared_segno.expect("just initiated");
-                match k.read_word(s.pid, segno, page * PAGE_WORDS as u32) {
-                    Ok(w) => format!("r:{}", w.raw()),
-                    Err(e) => format!("r:{}", klabel(&e)),
-                }
+                labelled::<D, _>("r", sys.read(s.pid, segno, page * PW).map(|w| w.raw()))
             }
         })
     }
@@ -1069,24 +937,25 @@ impl KernelDriver {
         };
         let mut label = if abandon { "reap" } else { "out" }.to_string();
         if !abandon && own.is_some() {
+            let dir = self.dirs[shard];
             match self
-                .k
-                .delete_entry(pid, self.shard_toks[shard], &file_name(idx))
+                .sys
+                .delete_file(pid, dir, &shard_name(shard), &file_name(idx))
             {
                 Ok(()) => {
                     if let Some(s) = self.sessions[idx].as_mut() {
                         s.own = None;
                     }
                 }
-                Err(KernelError::SalvageBusy) => return None,
+                Err(e) if D::is_busy(&e) => return None,
                 Err(_) => label = "out:err".to_string(),
             }
         }
         // Abandoned sessions are reaped by the service — same logout
         // residue, nobody at the terminal.
-        match self.svc.logout(&mut self.k, pid) {
-            Ok(_) => {}
-            Err(KernelError::SalvageBusy) => return None,
+        match self.sys.logout(&mut self.front, &account_name(idx), pid) {
+            Ok(()) => {}
+            Err(e) if D::is_busy(&e) => return None,
             Err(_) => label = format!("{label}:err"),
         }
         self.sessions[idx] = None;
@@ -1094,285 +963,76 @@ impl KernelDriver {
     }
 }
 
-// ------------------------------------------------------- legacy driver --
-
-pub(crate) fn llabel(e: &LegacyError) -> &'static str {
-    match e {
-        LegacyError::QuotaExceeded { .. } => "quota",
-        LegacyError::AllPacksFull => "full",
-        _ => "err",
+/// The user-visible label of an op's outcome: `prefix:value` (`ok` for
+/// ops without one) or `prefix:` the error's outcome class.
+pub(crate) fn labelled<D: Design, T: std::fmt::Display>(
+    prefix: &str,
+    got: Result<T, D::Error>,
+) -> String {
+    match got {
+        Ok(v) => format!("{prefix}:{v}"),
+        Err(e) => format!("{prefix}:{}", D::label(&e)),
     }
 }
 
-pub(crate) struct LSession {
-    pub(crate) pid: LProcessId,
-    pub(crate) own_segno: Option<u32>,
-    pub(crate) shared_segno: Option<u32>,
-}
-
-/// The legacy mirror of [`KernelDeferred`].
-#[derive(Debug, Clone)]
-pub(crate) struct LegacyDeferred {
-    pub(crate) shard: usize,
-    pub(crate) drv: LProcessId,
-    pub(crate) quota: u32,
-    pub(crate) wipe: Vec<usize>,
-    pub(crate) restore: Vec<(usize, Vec<u64>)>,
-}
-
-pub(crate) struct LegacyDriver {
-    pub(crate) sup: Supervisor,
-    pub(crate) sessions: Vec<Option<LSession>>,
-    pub(crate) pending: std::collections::VecDeque<usize>,
-    pub(crate) salvage: SalvageProbe,
-    pub(crate) deferred: Vec<LegacyDeferred>,
-}
-
-impl LegacyDriver {
-    fn salvage_advance(&mut self) {
-        if self.sup.online_salvage_active() {
-            legacy_salvage_step_checked(&mut self.sup, &mut self.salvage);
-        }
-        self.attempt_deferred();
-    }
-
-    /// See [`KernelDriver::attempt_deferred`].
-    pub(crate) fn attempt_deferred(&mut self) {
-        let mut i = 0;
-        while i < self.deferred.len() {
-            match self.try_deferred(i) {
-                Ok(true) => {
-                    self.deferred.remove(i);
-                }
-                Ok(false) => i += 1,
-                Err(msg) => {
-                    self.salvage.violations.push(msg);
-                    self.deferred.remove(i);
-                }
-            }
-        }
-    }
-
-    fn try_deferred(&mut self, i: usize) -> Result<bool, String> {
-        let (shard, drv, quota) = {
-            let w = &self.deferred[i];
-            (w.shard, w.drv, w.quota)
-        };
-        let path = format!("s{shard}");
-        let shard_uid = match self.sup.resolve(drv, &path, AccessRight::Read) {
-            Err(LegacyError::SalvageBusy) => return Ok(false),
-            Ok((uid, _)) => uid,
-            Err(_) => {
-                let root = self.sup.root();
-                let uid = self
-                    .sup
-                    .create_directory_in(root, &path, LAcl::owner(LUserId(1)), Label::BOTTOM)
-                    .map_err(|e| format!("shard s{shard} recreate: {e:?}"))?;
-                self.sup
-                    .set_quota_directory(drv, &path, quota)
-                    .map_err(|e| format!("shard s{shard} quota: {e:?}"))?;
-                uid
-            }
-        };
-        let work = self.deferred[i].clone();
-        for idx in &work.wipe {
-            let _ = self.sup.delete(drv, &format!("{path}>{}", file_name(*idx)));
-        }
-        for (idx, vals) in &work.restore {
-            let Some(pid) = self.sessions[*idx].as_ref().map(|s| s.pid) else {
-                continue;
-            };
-            self.sup
-                .create_segment_in(
-                    shard_uid,
-                    &file_name(*idx),
-                    LAcl::owner(LUserId(1)),
-                    Label::BOTTOM,
-                )
-                .map_err(|e| format!("survivor u{idx} file recreate: {e:?}"))?;
-            let segno = self
-                .sup
-                .initiate(pid, &format!("{path}>{}", file_name(*idx)))
-                .map_err(|e| format!("survivor u{idx} file initiate: {e:?}"))?;
-            for (page, &val) in vals.iter().enumerate() {
-                self.sup
-                    .user_write(pid, segno, page as u32 * PAGE_WORDS as u32, Word::new(val))
-                    .map_err(|e| format!("survivor u{idx} replay page {page}: {e:?}"))?;
-            }
-            if let Some(s) = self.sessions[*idx].as_mut() {
-                s.own_segno = Some(segno);
-            }
-        }
-        Ok(true)
+/// [`labelled`] for an op a `SalvageBusy` barrier holds back: `None`
+/// while barred.
+fn barred<D: Design, T: std::fmt::Display>(
+    prefix: &str,
+    got: Result<T, D::Error>,
+) -> Option<String> {
+    match got {
+        Err(e) if D::is_busy(&e) => None,
+        got => Some(labelled::<D, T>(prefix, got)),
     }
 }
 
-impl Driver for LegacyDriver {
+impl<D: Design> Harness for Driver<D> {
     fn now(&self) -> u64 {
-        self.sup.machine.clock.now()
+        self.sys.machine().clock.now()
     }
 
     fn queued(&self) -> usize {
-        self.pending.len()
+        D::queued(&self.front)
     }
 
     fn request(&mut self, idx: usize) -> bool {
-        let start = self.sup.machine.clock.now();
-        let mut attempts = 0u32;
-        loop {
-            match self.sup.login(&account_name(idx), "pw", Label::BOTTOM) {
-                Ok(pid) => {
-                    if attempts > 0 {
-                        self.salvage.blocked_cycles += self.sup.machine.clock.now() - start;
-                    }
-                    self.sessions[idx] = Some(LSession {
-                        pid,
-                        own_segno: None,
-                        shared_segno: None,
-                    });
-                    return true;
-                }
-                // The old answering service refuses when the process
-                // table is full; the caller's retry queue is the
-                // admission policy.
-                Err(LegacyError::NoSuchProcess) => {
-                    self.pending.push_back(idx);
-                    return false;
-                }
-                Err(LegacyError::SalvageBusy) => {
-                    attempts += 1;
-                    if attempts == 1 {
-                        self.salvage.blocked_ops += 1;
-                    }
-                    if attempts > SALVAGE_RETRY_BUDGET {
-                        self.salvage.blocked_cycles += self.sup.machine.clock.now() - start;
-                        self.salvage.violations.push(format!(
-                            "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted \
-                             logging in u{idx}"
-                        ));
-                        return false;
-                    }
-                    self.salvage.retries += 1;
-                    self.salvage_advance();
-                }
-                Err(e) => {
-                    self.salvage
-                        .violations
-                        .push(format!("login u{idx} refused: {e:?}"));
-                    return false;
-                }
-            }
-        }
+        D::request(self, idx)
     }
 
     fn admit(&mut self) -> Vec<usize> {
-        let mut admitted = Vec::new();
-        let mut attempts = 0u32;
-        while let Some(&idx) = self.pending.front() {
-            match self.sup.login(&account_name(idx), "pw", Label::BOTTOM) {
-                Ok(pid) => {
-                    self.pending.pop_front();
-                    self.sessions[idx] = Some(LSession {
-                        pid,
-                        own_segno: None,
-                        shared_segno: None,
-                    });
-                    admitted.push(idx);
-                }
-                Err(LegacyError::NoSuchProcess) => break,
-                Err(LegacyError::SalvageBusy) => {
-                    // A re-login needs a state segment under the (still
-                    // quarantined) `>processes`: step the salvager and
-                    // retry; the login stays at the head of the queue.
-                    attempts += 1;
-                    if attempts > SALVAGE_RETRY_BUDGET {
-                        self.salvage.violations.push(format!(
-                            "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted \
-                             re-admitting u{idx}"
-                        ));
-                        break;
-                    }
-                    self.salvage.retries += 1;
-                    self.salvage_advance();
-                }
-                Err(e) => {
-                    self.pending.pop_front();
-                    self.salvage
-                        .violations
-                        .push(format!("re-login u{idx} refused: {e:?}"));
-                }
-            }
-        }
-        admitted
+        D::admit(self)
     }
 
     fn exec(&mut self, idx: usize, shard: usize, action: &Action) -> String {
-        let start = self.sup.machine.clock.now();
-        let mut attempts = 0u32;
-        loop {
-            if let Some(label) = self.exec_once(idx, shard, action) {
-                if attempts > 0 {
-                    self.salvage.blocked_cycles += self.sup.machine.clock.now() - start;
-                }
-                return label;
-            }
-            attempts += 1;
-            if attempts == 1 {
-                self.salvage.blocked_ops += 1;
-            }
-            if attempts > SALVAGE_RETRY_BUDGET {
-                self.salvage.blocked_cycles += self.sup.machine.clock.now() - start;
-                self.salvage.violations.push(format!(
-                    "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted by \
-                     session {idx} mid-script"
-                ));
-                return "busy".to_string();
-            }
-            self.salvage.retries += 1;
-            self.salvage_advance();
-        }
+        self.blocked(
+            || format!("by session {idx} mid-script"),
+            |d| d.exec_once(idx, shard, action),
+        )
+        .unwrap_or_else(|| "busy".to_string())
     }
 
     fn finish(&mut self, idx: usize, shard: usize, abandon: bool) -> String {
-        let start = self.sup.machine.clock.now();
-        let mut attempts = 0u32;
-        loop {
-            if let Some(label) = self.finish_once(idx, shard, abandon) {
-                if attempts > 0 {
-                    self.salvage.blocked_cycles += self.sup.machine.clock.now() - start;
-                }
-                return label;
-            }
-            attempts += 1;
-            if attempts == 1 {
-                self.salvage.blocked_ops += 1;
-            }
-            if attempts > SALVAGE_RETRY_BUDGET {
-                self.salvage.blocked_cycles += self.sup.machine.clock.now() - start;
-                self.salvage.violations.push(format!(
-                    "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted by \
-                     session {idx} at logout"
-                ));
-                return "busy".to_string();
-            }
-            self.salvage.retries += 1;
-            self.salvage_advance();
-        }
+        self.blocked(
+            || format!("by session {idx} at logout"),
+            |d| d.finish_once(idx, shard, abandon),
+        )
+        .unwrap_or_else(|| "busy".to_string())
     }
 
     fn schedule(&mut self) {
-        self.sup.dispatch();
+        self.sys.dispatch();
     }
 
     fn housekeep(&mut self) {
-        self.sup.sync_to_disk().expect("legacy housekeeping sweep");
+        self.sys.sync().expect("housekeeping sweep");
     }
 
     fn salvage_tick(&mut self) {
         if self.salvage.first_op_at.is_none() {
-            self.salvage.first_op_at = Some(self.sup.machine.clock.now());
+            self.salvage.first_op_at = Some(self.now());
         }
-        if self.sup.online_salvage_active() {
+        if self.sys.salvage_active() {
             self.salvage.ops_overlapped += 1;
             self.salvage_advance();
         } else if !self.deferred.is_empty() {
@@ -1381,380 +1041,116 @@ impl Driver for LegacyDriver {
     }
 }
 
-impl LegacyDriver {
-    /// See [`KernelDriver::exec_once`].
-    fn exec_once(&mut self, idx: usize, shard: usize, action: &Action) -> Option<String> {
-        let s = self.sessions[idx].as_mut().expect("live session");
-        let sup = &mut self.sup;
-        Some(match *action {
-            Action::Link(sym) => match sup.link(s.pid, "lib", &symbol(sym)) {
-                Ok(l) => format!("l:{}", l.offset),
-                Err(LegacyError::SalvageBusy) => return None,
-                Err(e) => format!("l:{}", llabel(&e)),
-            },
-            Action::Resolve(target) => {
-                let path = match target {
-                    ResolveTarget::Lib => "lib".to_string(),
-                    ResolveTarget::Shared => "shared".to_string(),
-                    ResolveTarget::Shard(j) => format!("s{j}"),
-                };
-                match sup.resolve(s.pid, &path, AccessRight::Read) {
-                    Ok(_) => "n:ok".to_string(),
-                    Err(LegacyError::SalvageBusy) => return None,
-                    Err(e) => format!("n:{}", llabel(&e)),
-                }
-            }
-            Action::Grow { page, val } => {
-                if s.own_segno.is_none() {
-                    let shard_uid =
-                        match sup.resolve(s.pid, &format!("s{shard}"), AccessRight::Read) {
-                            Ok((uid, _)) => uid,
-                            Err(LegacyError::SalvageBusy) => return None,
-                            Err(e) => return Some(format!("w:{}", llabel(&e))),
-                        };
-                    let created = sup
-                        .create_segment_in(
-                            shard_uid,
-                            &file_name(idx),
-                            LAcl::owner(LUserId(1)),
-                            Label::BOTTOM,
-                        )
-                        .and_then(|_| sup.initiate(s.pid, &format!("s{shard}>{}", file_name(idx))));
-                    match created {
-                        Ok(segno) => s.own_segno = Some(segno),
-                        Err(LegacyError::SalvageBusy) => return None,
-                        Err(e) => return Some(format!("w:{}", llabel(&e))),
-                    }
-                }
-                let segno = s.own_segno.expect("just created");
-                match sup.user_write(s.pid, segno, page * PAGE_WORDS as u32, Word::new(val)) {
-                    Ok(()) => "w:ok".to_string(),
-                    Err(e) => format!("w:{}", llabel(&e)),
-                }
-            }
-            Action::ReadOwn { page } => {
-                // Deferred restoration, as in the kernel driver: blocked
-                // until the shard's release replays the file.
-                let segno = s.own_segno?;
-                match sup.user_read(s.pid, segno, page * PAGE_WORDS as u32) {
-                    Ok(w) => format!("r:{}", w.raw()),
-                    Err(e) => format!("r:{}", llabel(&e)),
-                }
-            }
-            Action::ReadShared { page } => {
-                if s.shared_segno.is_none() {
-                    match sup.initiate(s.pid, "shared") {
-                        Ok(segno) => s.shared_segno = Some(segno),
-                        Err(LegacyError::SalvageBusy) => return None,
-                        Err(e) => return Some(format!("r:{}", llabel(&e))),
-                    }
-                }
-                let segno = s.shared_segno.expect("just initiated");
-                match sup.user_read(s.pid, segno, page * PAGE_WORDS as u32) {
-                    Ok(w) => format!("r:{}", w.raw()),
-                    Err(e) => format!("r:{}", llabel(&e)),
-                }
-            }
-        })
-    }
-
-    /// See [`KernelDriver::finish_once`].
-    fn finish_once(&mut self, idx: usize, shard: usize, abandon: bool) -> Option<String> {
-        let (pid, own) = {
-            let s = self.sessions[idx].as_ref().expect("live session");
-            (s.pid, s.own_segno)
-        };
-        let mut label = if abandon { "reap" } else { "out" }.to_string();
-        if !abandon && own.is_some() {
-            let path = format!("s{shard}>{}", file_name(idx));
-            match self.sup.delete(pid, &path) {
-                Ok(()) => {
-                    if let Some(s) = self.sessions[idx].as_mut() {
-                        s.own_segno = None;
-                    }
-                }
-                Err(LegacyError::SalvageBusy) => return None,
-                Err(_) => label = "out:err".to_string(),
-            }
-        }
-        match self.sup.logout(&account_name(idx), pid) {
-            Ok(_) => {}
-            Err(LegacyError::SalvageBusy) => return None,
-            Err(_) => label = format!("{label}:err"),
-        }
-        self.sessions[idx] = None;
-        Some(label)
-    }
-}
-
 // ------------------------------------------------------------ run fns --
 
-/// The operator-side handles a harness keeps after world setup: the
-/// driver account's process and its window onto the shared segment.
-/// Plain load runs discard this; the recovery harness uses it to write
-/// its epoch beacon and to reconcile the world after a crash.
-pub(crate) struct KernelWorldCtx {
-    pub(crate) drv: ProcessId,
-    pub(crate) shared_segno: u32,
-}
-
-pub(crate) struct LegacyWorldCtx {
-    pub(crate) drv: LProcessId,
-    pub(crate) shared_segno: u32,
-}
-
-/// Builds the kernel world a load run executes against: overflow pack,
-/// driver account and login, published library, shared segment, quota
-/// shards, and one registered account per scripted session.
-pub(crate) fn setup_kernel(spec: &LoadSpec) -> (KernelDriver, KernelWorldCtx) {
-    let mut k = Kernel::boot(spec.kernel_config());
+/// Builds the world a load run executes against: overflow pack, driver
+/// account and login, published library, shared segment, quota shards,
+/// and one registered account per scripted session.
+pub(crate) fn setup<D: Design>(spec: &LoadSpec) -> (Driver<D>, WorldCtx<D::Pid>) {
+    let mut sys = D::boot(&spec.shape());
     if let Some((records, toc_slots)) = spec.overflow_pack() {
-        k.machine.disks.attach(records, toc_slots);
+        sys.machine_mut().disks.attach(records, toc_slots);
     }
-    let mut svc = AnsweringService::new();
-    svc.register(&mut k, "drv", UserId(1), "pw", Label::BOTTOM);
-    let drv = svc
-        .login(&mut k, "drv", "pw", Label::BOTTOM)
-        .expect("driver login");
-    let root = k.root_token();
-    let acl = Acl::owner(UserId(1));
-
-    // The shared library, with its definitions published.
-    let lib_tok = k
-        .create_entry(drv, root, "lib", acl.clone(), Label::BOTTOM, false)
-        .expect("lib");
-    let lib_segno = k.initiate(drv, lib_tok).expect("lib initiate");
-    let defs = definitions();
-    let def_refs: Vec<(&str, u32)> = defs.iter().map(|(s, o)| (s.as_str(), *o)).collect();
-    publish_library(&mut k, drv, lib_segno, &def_refs).expect("publish");
-
-    // The shared read-mostly segment.
-    let shared_tok = k
-        .create_entry(drv, root, "shared", acl.clone(), Label::BOTTOM, false)
-        .expect("shared");
-    let shared_segno = k.initiate(drv, shared_tok).expect("shared initiate");
-    for page in 0..SHARED_PAGES {
-        k.write_word(
-            drv,
-            shared_segno,
-            page * PAGE_WORDS as u32,
-            Word::new(shared_word(page)),
-        )
-        .expect("shared page");
-    }
-
-    // Quota-capped shard directories for the sessions' own files.
-    let mut shard_toks = Vec::new();
-    for j in 0..spec.shards() {
-        let tok = k
-            .create_entry(
+    let mut front = D::new_front();
+    sys.register(&mut front, "drv");
+    let drv = sys.login(&mut front, "drv").expect("driver login");
+    let mut probe = SalvageProbe::default();
+    let shared_segno = publish_fixtures(&mut sys, &mut probe, drv, true).expect("shared fixtures");
+    let dirs = (0..spec.shards())
+        .map(|j| {
+            make_dir(
+                &mut sys,
+                &mut probe,
                 drv,
-                root,
-                &format!("s{j}"),
-                acl.clone(),
-                Label::BOTTOM,
-                true,
+                &shard_name(j),
+                spec.shard_quota(),
             )
-            .expect("shard dir");
-        k.set_quota(drv, tok, spec.shard_quota()).expect("quota");
-        shard_toks.push(tok);
-    }
-
+            .expect("shard dir")
+        })
+        .collect();
     for idx in 0..spec.sessions {
-        svc.register(&mut k, &account_name(idx), UserId(1), "pw", Label::BOTTOM);
+        sys.register(&mut front, &account_name(idx));
     }
-
-    (
-        KernelDriver {
-            k,
-            svc,
-            sessions: (0..spec.sessions).map(|_| None).collect(),
-            shard_toks,
-            salvage: SalvageProbe::default(),
-            deferred: Vec::new(),
-        },
-        KernelWorldCtx { drv, shared_segno },
-    )
+    let driver = Driver {
+        sys,
+        front,
+        sessions: (0..spec.sessions).map(|_| None).collect(),
+        dirs,
+        salvage: probe,
+        deferred: Vec::new(),
+    };
+    (driver, WorldCtx { drv, shared_segno })
 }
 
-/// Runs the spec on the new kernel design. An optional schedule policy
-/// is installed *after* setup, exactly as the schedule explorer does, so
-/// every policy explores from the same initial state.
-pub fn run_kernel_load(spec: &LoadSpec, policy: Option<Box<dyn SchedulePolicy>>) -> LoadRun {
-    run_kernel_load_scripts(spec, &spec.scripts(), policy)
-}
-
-/// [`run_kernel_load`] with the scripts supplied by the caller: the
+/// Runs `scripts` (one per session of `spec`) on design `D`. The
 /// sharded engine partitions one global population and hands each shard
 /// machine the scripts of its members (local indices, global scripts),
 /// which is what keeps the merged stream independent of worker count.
-pub(crate) fn run_kernel_load_scripts(
+/// An optional schedule policy is installed *after* setup, exactly as
+/// the schedule explorer does, so every policy explores from the same
+/// initial state.
+pub(crate) fn run_load<D: Design>(
     spec: &LoadSpec,
     scripts: &[SessionScript],
     policy: Option<Box<dyn SchedulePolicy>>,
 ) -> LoadRun {
     assert_eq!(scripts.len(), spec.sessions, "one script per session");
-    let (mut driver, _ctx) = setup_kernel(spec);
+    let (mut d, _ctx) = setup::<D>(spec);
+    let m = d.sys.machine();
+    let setup_cycles = m.clock.now();
+    let ops_base = m.ops_retired();
+    let meter_base = m.clock.meter_snapshot();
+    let edge_base = m.clock.edge_snapshot();
+    d.sys.set_policy(policy);
 
-    let setup_cycles = driver.k.machine.clock.now();
-    let ops_base = driver.k.machine.ops_retired();
-    let meter_base = driver.k.machine.clock.meter_snapshot();
-    let edge_base = driver.k.machine.clock.edge_snapshot();
-    if let Some(p) = policy {
-        driver.k.set_schedule_policy(p);
-    }
+    let mut st = EngineState::new();
+    storm(&mut d, scripts, &mut st);
+    drive_until(&mut d, scripts, &mut st, None);
 
-    let out = drive(&mut driver, scripts);
-    let k = driver.k;
-
-    let per_cpu_ops: Vec<u64> = k
-        .machine
+    let m = d.sys.machine();
+    let per_cpu_ops = m
         .ops_retired()
         .iter()
         .zip(ops_base.iter())
         .map(|(now, base)| now - base)
         .collect();
+    st.user_samples.resize_with(spec.sessions, Vec::new);
     LoadRun {
-        design: "kernel",
-        cycles: k.machine.clock.now() - setup_cycles,
+        design: D::NAME,
+        cycles: m.clock.now() - setup_cycles,
         setup_cycles,
-        ops: out.ops,
+        ops: st.ops,
         sessions: spec.sessions,
-        abandoned: out.abandoned,
-        queued_peak: out.queued_peak,
-        parity: out.parity,
-        hist: out.hist,
+        abandoned: st.abandoned,
+        queued_peak: st.queued_peak,
+        parity: st.parity,
+        hist: st.hist,
         per_cpu_ops,
-        queue_delay: k.vpm.queue_delay(),
-        event_queue_hwm: k.upm.queue_high_watermark(),
-        meter: meter_base.delta(&k.machine.clock.meter_snapshot()),
-        edges: edge_base.delta(k.machine.clock.edge_set()),
-        violations: oracle::check_kernel(&k),
-        user_samples: {
-            let mut us = out.user_samples;
-            us.resize_with(spec.sessions, Vec::new);
-            us
-        },
+        queue_delay: d.sys.queue_delay(),
+        event_queue_hwm: d.sys.queue_hwm(),
+        meter: meter_base.delta(&m.clock.meter_snapshot()),
+        edges: edge_base.delta(m.clock.edge_set()),
+        violations: d.sys.oracle(),
+        user_samples: st.user_samples,
     }
 }
 
-/// Builds the legacy world a load run executes against — the same
-/// sequence of logical steps as [`setup_kernel`], through the old
-/// supervisor's interfaces.
-pub(crate) fn setup_legacy(spec: &LoadSpec) -> (LegacyDriver, LegacyWorldCtx) {
-    let mut sup = Supervisor::boot(spec.supervisor_config());
-    if let Some((records, toc_slots)) = spec.overflow_pack() {
-        sup.machine.disks.attach(records, toc_slots);
-    }
-    sup.register_user("drv", LUserId(1), "pw", Label::BOTTOM);
-    let drv = sup.login("drv", "pw", Label::BOTTOM).expect("driver login");
-    let root = sup.root();
-    let acl = LAcl::owner(LUserId(1));
-
-    let lib_uid = sup
-        .create_segment_in(root, "lib", acl.clone(), Label::BOTTOM)
-        .expect("lib");
-    let defs = definitions();
-    let def_refs: Vec<(&str, u32)> = defs.iter().map(|(s, o)| (s.as_str(), *o)).collect();
-    sup.publish_definitions(lib_uid, &def_refs);
-    let lib_segno = sup.initiate(drv, "lib").expect("lib initiate");
-    // The kernel's published library occupies a page; allocate the
-    // matching record here so both designs start with identical storage.
-    sup.user_write(drv, lib_segno, 0, Word::new(def_refs.len() as u64))
-        .expect("lib page");
-
-    sup.create_segment_in(root, "shared", acl.clone(), Label::BOTTOM)
-        .expect("shared");
-    let shared_segno = sup.initiate(drv, "shared").expect("shared initiate");
-    for page in 0..SHARED_PAGES {
-        sup.user_write(
-            drv,
-            shared_segno,
-            page * PAGE_WORDS as u32,
-            Word::new(shared_word(page)),
-        )
-        .expect("shared page");
-    }
-
-    for j in 0..spec.shards() {
-        sup.create_directory_in(root, &format!("s{j}"), acl.clone(), Label::BOTTOM)
-            .expect("shard dir");
-        sup.set_quota_directory(drv, &format!("s{j}"), spec.shard_quota())
-            .expect("quota");
-    }
-
-    for idx in 0..spec.sessions {
-        sup.register_user(&account_name(idx), LUserId(1), "pw", Label::BOTTOM);
-    }
-
-    (
-        LegacyDriver {
-            sup,
-            sessions: (0..spec.sessions).map(|_| None).collect(),
-            pending: std::collections::VecDeque::new(),
-            salvage: SalvageProbe::default(),
-            deferred: Vec::new(),
-        },
-        LegacyWorldCtx { drv, shared_segno },
-    )
+/// Runs the spec on the new kernel design. An optional schedule policy
+/// is installed after setup (see [`run_load`]).
+pub fn run_kernel_load(spec: &LoadSpec, policy: Option<Box<dyn SchedulePolicy>>) -> LoadRun {
+    run_load::<Kernel>(spec, &spec.scripts(), policy)
 }
 
 /// Runs the spec on the 1974 supervisor. Its scheduler has no policy
 /// hooks: one inherent schedule per spec.
 pub fn run_legacy_load(spec: &LoadSpec) -> LoadRun {
-    run_legacy_load_scripts(spec, &spec.scripts())
-}
-
-/// [`run_legacy_load`] with caller-supplied scripts; see
-/// [`run_kernel_load_scripts`].
-pub(crate) fn run_legacy_load_scripts(spec: &LoadSpec, scripts: &[SessionScript]) -> LoadRun {
-    assert_eq!(scripts.len(), spec.sessions, "one script per session");
-    let (mut driver, _ctx) = setup_legacy(spec);
-
-    let setup_cycles = driver.sup.machine.clock.now();
-    let ops_base = driver.sup.machine.ops_retired();
-    let meter_base = driver.sup.machine.clock.meter_snapshot();
-    let edge_base = driver.sup.machine.clock.edge_snapshot();
-
-    let out = drive(&mut driver, scripts);
-    let sup = driver.sup;
-
-    let per_cpu_ops: Vec<u64> = sup
-        .machine
-        .ops_retired()
-        .iter()
-        .zip(ops_base.iter())
-        .map(|(now, base)| now - base)
-        .collect();
-    LoadRun {
-        design: "legacy",
-        cycles: sup.machine.clock.now() - setup_cycles,
-        setup_cycles,
-        ops: out.ops,
-        sessions: spec.sessions,
-        abandoned: out.abandoned,
-        queued_peak: out.queued_peak,
-        parity: out.parity,
-        hist: out.hist,
-        per_cpu_ops,
-        queue_delay: (0, 0),
-        event_queue_hwm: 0,
-        meter: meter_base.delta(&sup.machine.clock.meter_snapshot()),
-        edges: edge_base.delta(sup.machine.clock.edge_set()),
-        violations: oracle::check_legacy(&sup),
-        user_samples: {
-            let mut us = out.user_samples;
-            us.resize_with(spec.sessions, Vec::new);
-            us
-        },
-    }
+    run_load::<Supervisor>(spec, &spec.scripts(), None)
 }
 
 /// Runs the spec through both designs under their baseline schedules.
 pub fn run_both(spec: &LoadSpec) -> (LoadRun, LoadRun) {
     (run_kernel_load(spec, None), run_legacy_load(spec))
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

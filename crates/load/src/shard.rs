@@ -26,10 +26,12 @@
 //! conservation, shard-order stability).
 
 use crate::hist::Histogram;
-use crate::run::{run_kernel_load_scripts, run_legacy_load_scripts, LoadRun, LoadSpec};
+use crate::run::{run_load, LoadRun, LoadSpec};
 use crate::script::{session_script, SessionScript};
 use mx_hw::meter::EdgeSet;
 use mx_hw::rng::SplitMix64;
+use mx_kernel::Kernel;
+use mx_legacy::Supervisor;
 use mx_sync::{EventCount, Sequencer};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -181,10 +183,10 @@ fn run_shard(spec: &ShardSpec, members: &[usize]) -> ShardRun {
     let local = LoadSpec::new(members.len(), spec.seed);
     let scripts: Vec<SessionScript> = members
         .iter()
-        .map(|&g| session_script(spec.seed, g, local.shard_count()))
+        .map(|&g| session_script(spec.seed, g, local.shards()))
         .collect();
-    let kernel = run_kernel_load_scripts(&local, &scripts, None);
-    let legacy = run_legacy_load_scripts(&local, &scripts);
+    let kernel = run_load::<Kernel>(&local, &scripts, None);
+    let legacy = run_load::<Supervisor>(&local, &scripts, None);
     let violations = LoadRun::check_pair(&kernel, &legacy);
     ShardRun {
         members: members.to_vec(),
