@@ -31,7 +31,7 @@ use mx_sync::SchedulePolicy;
 use mx_user::{publish_library, Admission, AnsweringService, NameSpace, UserLinker};
 
 use crate::epoch::C1Policy;
-use crate::run::{account_name, definitions, Driver, SalvageProbe, SALVAGE_RETRY_BUDGET};
+use crate::run::{account_index, account_name, definitions, SalvageProbe, SALVAGE_RETRY_BUDGET};
 
 /// Storage and table sizes a harness boots a machine with: the fields
 /// both designs' configurations share. Everything else stays at each
@@ -66,6 +66,15 @@ pub(crate) enum Step {
     Done { problems: usize, repairs: usize },
     /// A finalize sweep ran, or no salvage is in progress.
     Quiet,
+}
+
+/// What one pass over the admission queue did, by session index.
+pub(crate) struct Admit<D: Design> {
+    pub(crate) admitted: Vec<(usize, D::Pid)>,
+    /// Logins refused outright; they have left the queue.
+    pub(crate) refused: Vec<(usize, D::Error)>,
+    /// The head login is barred by an online salvage and stays queued.
+    pub(crate) busy: bool,
 }
 
 /// One stop-the-world salvage pass's findings.
@@ -155,10 +164,14 @@ pub(crate) trait Design: Sized {
     fn crash_front(front: &mut Self::Front);
     /// The planted cheat: forget the youngest parked login.
     fn drop_youngest(front: &mut Self::Front);
-    /// The storm login: `true` = admitted, `false` = parked.
-    fn request(d: &mut Driver<Self>, idx: usize) -> bool;
-    /// Admits parked logins while slots last; returns their indices.
-    fn admit(d: &mut Driver<Self>) -> Vec<usize>;
+    /// Logs session `idx` in: `Ok(None)` = parked for a process slot.
+    fn login_or_queue(
+        &mut self,
+        front: &mut Self::Front,
+        idx: usize,
+    ) -> Result<Option<Self::Pid>, Self::Error>;
+    /// One pass over the parked logins, head first, while slots last.
+    fn admit_pass(&mut self, front: &mut Self::Front) -> Admit<Self>;
 
     // ------------------------------------------------------- naming --
     /// Looks `name` up in the root.
@@ -444,63 +457,30 @@ impl Design for Kernel {
         svc.drop_last_pending_for_test();
     }
 
-    fn request(d: &mut Driver<Self>, idx: usize) -> bool {
-        let start = d.sys.machine.clock.now();
-        let mut attempts = 0u32;
-        loop {
-            match d
-                .front
-                .login_or_queue(&mut d.sys, &account_name(idx), "pw", Label::BOTTOM)
-            {
-                Ok(Admission::Admitted(pid)) => {
-                    if attempts > 0 {
-                        d.salvage.blocked_cycles += d.sys.machine.clock.now() - start;
-                    }
-                    d.open(idx, pid);
-                    return true;
-                }
-                Ok(Admission::Queued(_)) => {
-                    if attempts > 0 {
-                        d.salvage.blocked_cycles += d.sys.machine.clock.now() - start;
-                    }
-                    return false;
-                }
-                Err(KernelError::SalvageBusy) => {
-                    attempts += 1;
-                    if attempts == 1 {
-                        d.salvage.blocked_ops += 1;
-                    }
-                    if attempts > SALVAGE_RETRY_BUDGET {
-                        d.salvage.blocked_cycles += d.sys.machine.clock.now() - start;
-                        d.salvage.violations.push(format!(
-                            "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted \
-                             logging in u{idx}"
-                        ));
-                        return false;
-                    }
-                    d.salvage.retries += 1;
-                    d.salvage_advance();
-                }
-                Err(e) => {
-                    d.salvage
-                        .violations
-                        .push(format!("login u{idx} refused: {e:?}"));
-                    return false;
-                }
-            }
-        }
+    fn login_or_queue(
+        &mut self,
+        svc: &mut AnsweringService,
+        idx: usize,
+    ) -> Result<Option<ProcessId>, KernelError> {
+        let got = svc.login_or_queue(self, &account_name(idx), "pw", Label::BOTTOM)?;
+        Ok(match got {
+            Admission::Admitted(pid) => Some(pid),
+            Admission::Queued(_) => None,
+        })
     }
 
-    fn admit(d: &mut Driver<Self>) -> Vec<usize> {
-        let admitted = d.front.admit_waiting(&mut d.sys);
-        admitted
-            .into_iter()
-            .map(|(name, pid)| {
-                let idx = crate::run::account_index(&name);
-                d.open(idx, pid);
-                idx
-            })
-            .collect()
+    fn admit_pass(&mut self, svc: &mut AnsweringService) -> Admit<Self> {
+        let pass = svc.admit_waiting(self);
+        let idx = |name: String| account_index(&name);
+        Admit {
+            admitted: pass
+                .admitted
+                .into_iter()
+                .map(|(n, p)| (idx(n), p))
+                .collect(),
+            refused: pass.refused.into_iter().map(|(n, e)| (idx(n), e)).collect(),
+            busy: pass.busy,
+        }
     }
 
     fn search(&mut self, drv: ProcessId, name: &str) -> Result<ObjToken, KernelError> {
@@ -859,86 +839,42 @@ impl Design for Supervisor {
         queue.pop_back();
     }
 
-    fn request(d: &mut Driver<Self>, idx: usize) -> bool {
-        let start = d.sys.machine.clock.now();
-        let mut attempts = 0u32;
-        loop {
-            match Supervisor::login(&mut d.sys, &account_name(idx), "pw", Label::BOTTOM) {
-                Ok(pid) => {
-                    if attempts > 0 {
-                        d.salvage.blocked_cycles += d.sys.machine.clock.now() - start;
-                    }
-                    d.open(idx, pid);
-                    return true;
-                }
-                // The old answering service refuses when the process
-                // table is full; the caller's retry queue is the
-                // admission policy.
-                Err(LegacyError::NoSuchProcess) => {
-                    d.front.push_back(idx);
-                    return false;
-                }
-                Err(LegacyError::SalvageBusy) => {
-                    attempts += 1;
-                    if attempts == 1 {
-                        d.salvage.blocked_ops += 1;
-                    }
-                    if attempts > SALVAGE_RETRY_BUDGET {
-                        d.salvage.blocked_cycles += d.sys.machine.clock.now() - start;
-                        d.salvage.violations.push(format!(
-                            "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted \
-                             logging in u{idx}"
-                        ));
-                        return false;
-                    }
-                    d.salvage.retries += 1;
-                    d.salvage_advance();
-                }
-                Err(e) => {
-                    d.salvage
-                        .violations
-                        .push(format!("login u{idx} refused: {e:?}"));
-                    return false;
-                }
+    /// The old answering service refuses when the process table is
+    /// full; the caller's retry queue is the admission policy.
+    fn login_or_queue(
+        &mut self,
+        queue: &mut VecDeque<usize>,
+        idx: usize,
+    ) -> Result<Option<LProcessId>, LegacyError> {
+        match Supervisor::login(self, &account_name(idx), "pw", Label::BOTTOM) {
+            Ok(pid) => Ok(Some(pid)),
+            Err(LegacyError::NoSuchProcess) => {
+                queue.push_back(idx);
+                Ok(None)
             }
+            Err(e) => Err(e),
         }
     }
 
-    fn admit(d: &mut Driver<Self>) -> Vec<usize> {
-        let mut admitted = Vec::new();
-        let mut attempts = 0u32;
-        while let Some(&idx) = d.front.front() {
-            match Supervisor::login(&mut d.sys, &account_name(idx), "pw", Label::BOTTOM) {
-                Ok(pid) => {
-                    d.front.pop_front();
-                    d.open(idx, pid);
-                    admitted.push(idx);
-                }
+    fn admit_pass(&mut self, queue: &mut VecDeque<usize>) -> Admit<Self> {
+        let mut pass = Admit {
+            admitted: Vec::new(),
+            refused: Vec::new(),
+            busy: false,
+        };
+        while let Some(&idx) = queue.front() {
+            match Supervisor::login(self, &account_name(idx), "pw", Label::BOTTOM) {
+                Ok(pid) => pass.admitted.push((idx, pid)),
                 Err(LegacyError::NoSuchProcess) => break,
                 Err(LegacyError::SalvageBusy) => {
-                    // A re-login needs a state segment under the (still
-                    // quarantined) `>processes`: step the salvager and
-                    // retry; the login stays at the head of the queue.
-                    attempts += 1;
-                    if attempts > SALVAGE_RETRY_BUDGET {
-                        d.salvage.violations.push(format!(
-                            "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted \
-                             re-admitting u{idx}"
-                        ));
-                        break;
-                    }
-                    d.salvage.retries += 1;
-                    d.salvage_advance();
+                    pass.busy = true;
+                    break;
                 }
-                Err(e) => {
-                    d.front.pop_front();
-                    d.salvage
-                        .violations
-                        .push(format!("re-login u{idx} refused: {e:?}"));
-                }
+                Err(e) => pass.refused.push((idx, e)),
             }
+            queue.pop_front();
         }
-        admitted
+        pass
     }
 
     fn search(&mut self, drv: LProcessId, name: &str) -> Result<Option<SegUid>, LegacyError> {

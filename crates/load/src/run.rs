@@ -848,7 +848,7 @@ impl<D: Design> Driver<D> {
     /// violation.
     fn blocked<T>(
         &mut self,
-        what: impl FnOnce() -> String,
+        what: impl FnOnce(&Self) -> String,
         mut once: impl FnMut(&mut Self) -> Option<T>,
     ) -> Option<T> {
         let start = self.now();
@@ -868,7 +868,7 @@ impl<D: Design> Driver<D> {
                 self.salvage.blocked_cycles += self.now() - start;
                 self.salvage.violations.push(format!(
                     "salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted {}",
-                    what()
+                    what(self)
                 ));
                 return None;
             }
@@ -997,16 +997,55 @@ impl<D: Design> Harness for Driver<D> {
     }
 
     fn request(&mut self, idx: usize) -> bool {
-        D::request(self, idx)
+        let got = self.blocked(
+            |_| format!("logging in u{idx}"),
+            |d| match d.sys.login_or_queue(&mut d.front, idx) {
+                Err(e) if D::is_busy(&e) => None,
+                Ok(pid) => Some(pid),
+                Err(e) => {
+                    // Load accounts always authenticate; anything else
+                    // is reported through the probe, never a panic.
+                    let msg = format!("login u{idx} refused: {e:?}");
+                    d.salvage.violations.push(msg);
+                    Some(None)
+                }
+            },
+        );
+        match got.flatten() {
+            Some(pid) => {
+                self.open(idx, pid);
+                true
+            }
+            None => false,
+        }
     }
 
+    /// A re-login needs a state segment under `>processes`, which an
+    /// online salvage may still hold: the barred head login stays at the
+    /// head of the queue while the salvager steps.
     fn admit(&mut self) -> Vec<usize> {
-        D::admit(self)
+        let mut out = Vec::new();
+        self.blocked(
+            |d| format!("re-admitting {}", D::pending(&d.front)[0]),
+            |d| {
+                let pass = d.sys.admit_pass(&mut d.front);
+                for (idx, pid) in pass.admitted {
+                    d.open(idx, pid);
+                    out.push(idx);
+                }
+                for (idx, e) in pass.refused {
+                    let msg = format!("re-login u{idx} refused: {e:?}");
+                    d.salvage.violations.push(msg);
+                }
+                (!pass.busy).then_some(())
+            },
+        );
+        out
     }
 
     fn exec(&mut self, idx: usize, shard: usize, action: &Action) -> String {
         self.blocked(
-            || format!("by session {idx} mid-script"),
+            |_| format!("by session {idx} mid-script"),
             |d| d.exec_once(idx, shard, action),
         )
         .unwrap_or_else(|| "busy".to_string())
@@ -1014,7 +1053,7 @@ impl<D: Design> Harness for Driver<D> {
 
     fn finish(&mut self, idx: usize, shard: usize, abandon: bool) -> String {
         self.blocked(
-            || format!("by session {idx} at logout"),
+            |_| format!("by session {idx} at logout"),
             |d| d.finish_once(idx, shard, abandon),
         )
         .unwrap_or_else(|| "busy".to_string())

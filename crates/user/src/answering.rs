@@ -57,6 +57,19 @@ pub enum Admission {
     Queued(usize),
 }
 
+/// What one [`AnsweringService::admit_waiting`] pass did.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AdmitPass {
+    /// Logins admitted, in arrival order.
+    pub admitted: Vec<(String, ProcessId)>,
+    /// Logins the kernel refused outright, removed from the queue.
+    pub refused: Vec<(String, KernelError)>,
+    /// The pass stopped at a head login an online salvage still bars
+    /// (`SalvageBusy`); it stays at the head, to be retried once the
+    /// salvager has made progress.
+    pub busy: bool,
+}
+
 /// A login the service has parked until a process slot frees up.
 #[derive(Debug, Clone)]
 struct PendingLogin {
@@ -195,22 +208,24 @@ impl AnsweringService {
     }
 
     /// Admits queued logins in arrival order while process slots last.
-    /// Requests the policy now refuses outright (lockout reached while
-    /// queued, say) are dropped; the head request blocked only by a full
-    /// process table stays at the head.
-    pub fn admit_waiting(&mut self, kernel: &mut Kernel) -> Vec<(String, ProcessId)> {
-        let mut admitted = Vec::new();
+    /// The head request blocked only by a full process table — or by an
+    /// online salvage that still holds `>processes` — stays at the head.
+    /// Requests the kernel now refuses outright (lockout reached while
+    /// queued, say) leave the queue and are handed back to the caller.
+    pub fn admit_waiting(&mut self, kernel: &mut Kernel) -> AdmitPass {
+        let mut pass = AdmitPass::default();
         while let Some(req) = self.pending.pop_front() {
             match self.login(kernel, &req.name, &req.password, req.label) {
-                Ok(pid) => admitted.push((req.name, pid)),
-                Err(KernelError::TableFull(_)) => {
+                Ok(pid) => pass.admitted.push((req.name, pid)),
+                Err(e @ (KernelError::TableFull(_) | KernelError::SalvageBusy)) => {
+                    pass.busy = e == KernelError::SalvageBusy;
                     self.pending.push_front(req);
                     break;
                 }
-                Err(_) => {}
+                Err(e) => pass.refused.push((req.name, e)),
             }
         }
-        admitted
+        pass
     }
 
     /// Crash recovery for the service's own state: every live session's
@@ -378,11 +393,11 @@ mod tests {
         assert_eq!(queued, 4, "overflow queued, not refused, not panicked");
         assert_eq!(svc.queued_logins(), 4);
         // Nothing admits while the table is still full.
-        assert!(svc.admit_waiting(&mut k).is_empty());
+        assert!(svc.admit_waiting(&mut k).admitted.is_empty());
         // Two logouts free two slots; exactly the two oldest waiters land.
         svc.logout(&mut k, live[0]).unwrap();
         svc.logout(&mut k, live[1]).unwrap();
-        let admitted = svc.admit_waiting(&mut k);
+        let admitted = svc.admit_waiting(&mut k).admitted;
         let names: Vec<&str> = admitted.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["user08", "user09"], "arrival order preserved");
         assert_eq!(svc.queued_logins(), 2);
@@ -457,7 +472,7 @@ mod tests {
         // behalf); its slot then serves the waiter.
         let abandoned = pids[7];
         svc.logout(&mut k, abandoned).unwrap();
-        let admitted = svc.admit_waiting(&mut k);
+        let admitted = svc.admit_waiting(&mut k).admitted;
         assert_eq!(admitted.len(), 1);
         assert_eq!(admitted[0].0, "u8");
         assert_eq!(admitted[0].1, abandoned, "the freed slot is the one reused");
@@ -514,7 +529,7 @@ mod tests {
                 Label::BOTTOM,
             );
         }
-        let admitted = svc.admit_waiting(&mut k2);
+        let admitted = svc.admit_waiting(&mut k2).admitted;
         let names: Vec<&str> = admitted.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             names,
@@ -522,6 +537,70 @@ mod tests {
             "original arrival order, across the crash boundary"
         );
         assert_eq!(svc.queued_logins(), 0);
+    }
+
+    /// Eight slots filled from nine registered accounts, the ninth
+    /// parked; then one slot freed.
+    fn one_parked_one_free() -> (Kernel, AnsweringService) {
+        let mut k = boot();
+        let mut svc = AnsweringService::new();
+        for i in 0..9 {
+            svc.register(
+                &mut k,
+                &format!("u{i}"),
+                UserId(30 + i),
+                "pw",
+                Label::BOTTOM,
+            );
+        }
+        let mut pids = Vec::new();
+        for i in 0..9 {
+            if let Admission::Admitted(pid) = svc
+                .login_or_queue(&mut k, &format!("u{i}"), "pw", Label::BOTTOM)
+                .unwrap()
+            {
+                pids.push(pid);
+            }
+        }
+        assert_eq!(svc.pending_names(), vec!["u8"]);
+        svc.logout(&mut k, pids[0]).unwrap();
+        (k, svc)
+    }
+
+    #[test]
+    fn salvage_busy_login_stays_queued_and_is_admitted_later() {
+        let (mut k, mut svc) = one_parked_one_free();
+        // An online salvage holds `>processes`: the re-login cannot
+        // create its process yet, and must not be lost for it.
+        k.begin_online_salvage();
+        let pass = svc.admit_waiting(&mut k);
+        assert!(pass.busy, "the salvager bars the head login: {pass:?}");
+        assert!(pass.admitted.is_empty() && pass.refused.is_empty());
+        assert_eq!(svc.pending_names(), vec!["u8"], "kept at the head");
+        while k.online_salvage_active() {
+            k.online_salvage_step().unwrap();
+        }
+        let pass = svc.admit_waiting(&mut k);
+        assert!(!pass.busy);
+        assert_eq!(pass.admitted.len(), 1);
+        assert_eq!(pass.admitted[0].0, "u8");
+        assert_eq!(svc.queued_logins(), 0);
+    }
+
+    #[test]
+    fn refused_queued_login_is_returned_to_the_caller() {
+        let (mut k, mut svc) = one_parked_one_free();
+        // The parked account locks itself out while it waits.
+        for _ in 0..3 {
+            let _ = svc.login(&mut k, "u8", "wrong", Label::BOTTOM);
+        }
+        let pass = svc.admit_waiting(&mut k);
+        assert_eq!(
+            pass.refused,
+            vec![("u8".to_string(), KernelError::BadCredentials)]
+        );
+        assert!(pass.admitted.is_empty() && !pass.busy);
+        assert_eq!(svc.queued_logins(), 0, "a refusal leaves the queue");
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod linker;
 pub mod namespace;
 pub mod network;
 
-pub use answering::{Admission, AnsweringService};
+pub use answering::{Admission, AdmitPass, AnsweringService};
 pub use linker::{publish_library, UserLinker};
 pub use namespace::NameSpace;
 pub use network::{ArpanetTerminal, FrontEndTerminal, ThirdNetTerminal};
