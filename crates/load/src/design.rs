@@ -33,6 +33,9 @@ use mx_user::{publish_library, Admission, AnsweringService, NameSpace, UserLinke
 use crate::epoch::C1Policy;
 use crate::run::{account_index, account_name, definitions, SalvageProbe, SALVAGE_RETRY_BUDGET};
 
+/// A design's own result type.
+pub(crate) type Res<D, T = ()> = Result<T, <D as Design>::Error>;
+
 /// Storage and table sizes a harness boots a machine with: the fields
 /// both designs' configurations share. Everything else stays at each
 /// design's own default.
@@ -68,15 +71,6 @@ pub(crate) enum Step {
     Quiet,
 }
 
-/// What one pass over the admission queue did, by session index.
-pub(crate) struct Admit<D: Design> {
-    pub(crate) admitted: Vec<(usize, D::Pid)>,
-    /// Logins refused outright; they have left the queue.
-    pub(crate) refused: Vec<(usize, D::Error)>,
-    /// The head login is barred by an online salvage and stays queued.
-    pub(crate) busy: bool,
-}
-
 /// One stop-the-world salvage pass's findings.
 #[derive(Debug)]
 pub(crate) struct Salvaged {
@@ -85,6 +79,15 @@ pub(crate) struct Salvaged {
     pub(crate) clean: bool,
     /// The problem list, rendered for violation messages.
     pub(crate) found: String,
+}
+
+/// What one pass over the admission queue did, by session index.
+pub(crate) struct Admit<D: Design> {
+    pub(crate) admitted: Vec<(usize, D::Pid)>,
+    /// Logins refused outright; they have left the queue.
+    pub(crate) refused: Vec<(usize, D::Error)>,
+    /// The head login is barred by an online salvage and stays queued.
+    pub(crate) busy: bool,
 }
 
 /// The per-supervisor surface every harness is written against.
@@ -102,7 +105,7 @@ pub(crate) trait Design: Sized {
     /// it is the answering service, which queues logins itself. The old
     /// supervisor refuses when its process table is full, so its front
     /// is the caller's retry queue of session indices.
-    type Front;
+    type Front: Default;
     /// Per-process user-domain state: the kernel's name space and
     /// linker. The old supervisor keeps both inside, so it has none.
     type Env;
@@ -113,7 +116,7 @@ pub(crate) trait Design: Sized {
     /// A network attachment the wire's frames arrive on.
     type Net: Copy;
 
-    // ------------------------------------------------------ machine --
+    // The machine.
     fn boot(shape: &Shape) -> Self;
     /// Recovery bootload from a crash image.
     fn boot_image(shape: &Shape, image: DiskSystem) -> Result<Self, String>;
@@ -122,7 +125,7 @@ pub(crate) trait Design: Sized {
     /// The oracle battery: meter conservation, per-pack record
     /// conservation, wakeup exactness, TLB closure.
     fn oracle(&self) -> Vec<String>;
-    fn sync(&mut self) -> Result<(), Self::Error>;
+    fn sync(&mut self) -> Res<Self>;
     /// The scripted scheduler pass.
     fn dispatch(&mut self);
     /// Installs a schedule policy; the old scheduler has no hooks.
@@ -131,30 +134,31 @@ pub(crate) trait Design: Sized {
     fn schedule_name(policy: C1Policy) -> String;
     /// Resets the per-epoch scheduler probes.
     fn reset_probes(&mut self);
-    /// Queued-wait total and dispatch samples since the last reset.
-    fn queue_delay(&self) -> (u64, u64);
-    /// Peak event-queue depth since the last reset.
-    fn queue_hwm(&self) -> usize;
+    /// The scheduler probes since the last reset: queued-wait total and
+    /// the dispatches it averages over, and peak event-queue depth.
+    fn queue_probes(&self) -> ((u64, u64), usize);
     /// Whole-segment relocations so far.
     fn relocations(&self) -> u64;
 
-    // ------------------------------------------------------- errors --
+    // Errors.
     /// A `SalvageBusy` barrier: retry after the salvager steps.
     fn is_busy(e: &Self::Error) -> bool;
     /// The user-visible outcome class: `quota`, `full` or `err`.
     fn label(e: &Self::Error) -> &'static str;
 
-    // ----------------------------------------------------- accounts --
-    fn new_front() -> Self::Front;
+    // Accounts and admission.
     fn register(&mut self, front: &mut Self::Front, name: &str);
-    fn login(&mut self, front: &mut Self::Front, name: &str) -> Result<Self::Pid, Self::Error>;
+    fn login(&mut self, front: &mut Self::Front, name: &str) -> Res<Self, Self::Pid>;
     fn open_env(&mut self, pid: Self::Pid) -> Self::Env;
-    fn logout(
+    fn logout(&mut self, front: &mut Self::Front, name: &str, pid: Self::Pid) -> Res<Self>;
+    /// Logs session `idx` in: `Ok(None)` = parked for a process slot.
+    fn login_or_queue(
         &mut self,
         front: &mut Self::Front,
-        name: &str,
-        pid: Self::Pid,
-    ) -> Result<(), Self::Error>;
+        idx: usize,
+    ) -> Res<Self, Option<Self::Pid>>;
+    /// One pass over the parked logins, head first, while slots last.
+    fn admit_pass(&mut self, front: &mut Self::Front) -> Admit<Self>;
     /// Logins parked for a process slot.
     fn queued(front: &Self::Front) -> usize;
     /// Account names of the parked logins, head first.
@@ -164,53 +168,23 @@ pub(crate) trait Design: Sized {
     fn crash_front(front: &mut Self::Front);
     /// The planted cheat: forget the youngest parked login.
     fn drop_youngest(front: &mut Self::Front);
-    /// Logs session `idx` in: `Ok(None)` = parked for a process slot.
-    fn login_or_queue(
-        &mut self,
-        front: &mut Self::Front,
-        idx: usize,
-    ) -> Result<Option<Self::Pid>, Self::Error>;
-    /// One pass over the parked logins, head first, while slots last.
-    fn admit_pass(&mut self, front: &mut Self::Front) -> Admit<Self>;
 
-    // ------------------------------------------------------- naming --
+    // Naming.
     /// Looks `name` up in the root.
-    fn search(&mut self, drv: Self::Pid, name: &str) -> Result<Self::Dir, Self::Error>;
+    fn search(&mut self, drv: Self::Pid, name: &str) -> Res<Self, Self::Dir>;
     /// Looks shard directory `name` up while reconciling against a
-    /// possibly running salvager.
-    fn find_shard(
-        &mut self,
-        probe: &mut SalvageProbe,
-        drv: Self::Pid,
-        name: &str,
-    ) -> Result<Self::Dir, String>;
-    /// Creates segment `name` in the root.
-    fn create_seg(&mut self, drv: Self::Pid, name: &str) -> Result<Self::Dir, Self::Error>;
-    /// Creates directory `name` in the root.
-    fn create_dir(&mut self, drv: Self::Pid, name: &str) -> Result<Self::Dir, Self::Error>;
-    fn set_quota(
-        &mut self,
-        drv: Self::Pid,
-        dir: Self::Dir,
-        name: &str,
-        quota: u32,
-    ) -> Result<(), Self::Error>;
+    /// possibly running salvager; `None` = the crash cost the entry.
+    fn find_shard(&mut self, p: &mut SalvageProbe, drv: Self::Pid, name: &str)
+        -> Option<Self::Dir>;
+    /// Creates segment (or, with `dir`, directory) `name` in the root.
+    fn create(&mut self, drv: Self::Pid, name: &str, dir: bool) -> Res<Self, Self::Dir>;
+    fn set_quota(&mut self, drv: Self::Pid, dir: Self::Dir, name: &str, quota: u32) -> Res<Self>;
     /// Probes a root directory the salvager may still hold; busy while
     /// it is quarantined.
-    fn open_dir(
-        &mut self,
-        drv: Self::Pid,
-        dir: Self::Dir,
-        name: &str,
-    ) -> Result<Self::Dir, Self::Error>;
+    fn open_dir(&mut self, drv: Self::Pid, dir: Self::Dir, name: &str) -> Res<Self, Self::Dir>;
     /// The directory a session's file is created in, as the session
     /// reaches it.
-    fn file_dir(
-        &mut self,
-        pid: Self::Pid,
-        dir: Self::Dir,
-        name: &str,
-    ) -> Result<Self::Dir, Self::Error>;
+    fn file_dir(&mut self, pid: Self::Pid, dir: Self::Dir, name: &str) -> Res<Self, Self::Dir>;
     /// Creates and initiates file `name` in directory `dir_name`.
     fn create_in(
         &mut self,
@@ -218,69 +192,46 @@ pub(crate) trait Design: Sized {
         dir: Self::Dir,
         dir_name: &str,
         name: &str,
-    ) -> Result<u32, Self::Error>;
+    ) -> Res<Self, u32>;
     fn delete_file(
         &mut self,
         pid: Self::Pid,
         dir: Self::Dir,
         dir_name: &str,
         name: &str,
-    ) -> Result<(), Self::Error>;
+    ) -> Res<Self>;
     /// Initiates root entry `name`, held as `obj`.
-    fn initiate(&mut self, pid: Self::Pid, obj: Self::Dir, name: &str) -> Result<u32, Self::Error>;
+    fn initiate(&mut self, pid: Self::Pid, obj: Self::Dir, name: &str) -> Res<Self, u32>;
     /// Initiates root entry `name` through the session's name space.
-    fn initiate_path(
-        &mut self,
-        pid: Self::Pid,
-        env: &mut Self::Env,
-        name: &str,
-    ) -> Result<u32, Self::Error>;
+    fn initiate_path(&mut self, pid: Self::Pid, env: &mut Self::Env, name: &str) -> Res<Self, u32>;
     /// Publishes the library's definitions in segment `lib`.
     fn publish_lib(
         &mut self,
-        probe: &mut SalvageProbe,
+        p: &mut SalvageProbe,
         drv: Self::Pid,
         lib: Self::Dir,
     ) -> Result<(), String>;
 
-    // ----------------------------------------------------- user ops --
+    // User operations.
     /// Snaps a link to `sym` in the library; the snapped offset.
-    fn link(&mut self, pid: Self::Pid, env: &mut Self::Env, sym: &str) -> Result<u32, Self::Error>;
+    fn link(&mut self, pid: Self::Pid, env: &mut Self::Env, sym: &str) -> Res<Self, u32>;
     /// Resolves root entry `name`.
-    fn resolve(
-        &mut self,
-        pid: Self::Pid,
-        env: &mut Self::Env,
-        name: &str,
-    ) -> Result<(), Self::Error>;
-    fn read(&mut self, pid: Self::Pid, segno: u32, offset: u32) -> Result<Word, Self::Error>;
+    fn resolve(&mut self, pid: Self::Pid, env: &mut Self::Env, name: &str) -> Res<Self>;
+    fn read(&mut self, pid: Self::Pid, segno: u32, offset: u32) -> Res<Self, Word>;
     /// The specialized store's read path.
-    fn read_resident(
-        &mut self,
-        pid: Self::Pid,
-        segno: u32,
-        offset: u32,
-    ) -> Result<Word, Self::Error>;
-    fn write(
-        &mut self,
-        pid: Self::Pid,
-        segno: u32,
-        offset: u32,
-        w: Word,
-    ) -> Result<(), Self::Error>;
+    fn read_resident(&mut self, pid: Self::Pid, segno: u32, offset: u32) -> Res<Self, Word>;
+    fn write(&mut self, pid: Self::Pid, segno: u32, offset: u32, w: Word) -> Res<Self>;
 
-    // ------------------------------------------------------ salvage --
-    fn salvage(&mut self, repair: bool) -> Result<Salvaged, Self::Error>;
-    /// Starts the online salvager; `release_early` plants the cheat
-    /// that releases each directory before repairing its quota cell.
-    fn begin_online(&mut self, release_early: bool);
-    /// Tears the root quota cell behind the system's back (the
-    /// release-early self-check's drift).
-    fn drift_root(&mut self) -> Result<(), String>;
+    // Salvage.
+    fn salvage(&mut self, repair: bool) -> Res<Self, Salvaged>;
+    /// Starts the online salvager. `release_early` is the self-check:
+    /// tear the root quota cell behind the system's back, then run a
+    /// salvager that releases each directory before repairing its cell.
+    fn begin_online(&mut self, release_early: bool) -> Result<(), String>;
     fn salvage_active(&self) -> bool;
-    fn salvage_step(&mut self) -> Result<Step, Self::Error>;
+    fn salvage_step(&mut self) -> Res<Self, Step>;
 
-    // ------------------------------------------------------ network --
+    // Network.
     fn attach_net(&mut self) -> Self::Net;
     fn net_receive(&mut self, net: Self::Net, bytes: &[u8]) -> Result<(), String>;
     fn net_read(&mut self, pid: Self::Pid, net: Self::Net, ch: u16) -> Result<Vec<u8>, String>;
@@ -297,7 +248,7 @@ pub(crate) fn gate_retry<D: Design, T>(
     d: &mut D,
     probe: &mut SalvageProbe,
     what: &str,
-    mut f: impl FnMut(&mut D) -> Result<T, D::Error>,
+    mut f: impl FnMut(&mut D) -> Res<D, T>,
 ) -> Result<T, String> {
     let mut attempts = 0u32;
     loop {
@@ -316,10 +267,6 @@ pub(crate) fn gate_retry<D: Design, T>(
             Err(e) => return Err(format!("{what}: {e:?}")),
         }
     }
-}
-
-fn defs() -> Vec<(String, u32)> {
-    definitions()
 }
 
 fn def_refs(defs: &[(String, u32)]) -> Vec<(&str, u32)> {
@@ -370,7 +317,7 @@ impl Design for Kernel {
         oracle::check_kernel(self)
     }
 
-    fn sync(&mut self) -> Result<(), KernelError> {
+    fn sync(&mut self) -> Res<Self> {
         self.sync_to_disk()
     }
 
@@ -392,12 +339,8 @@ impl Design for Kernel {
         self.reset_load_probes();
     }
 
-    fn queue_delay(&self) -> (u64, u64) {
-        self.vpm.queue_delay()
-    }
-
-    fn queue_hwm(&self) -> usize {
-        self.upm.queue_high_watermark()
+    fn queue_probes(&self) -> ((u64, u64), usize) {
+        (self.vpm.queue_delay(), self.upm.queue_high_watermark())
     }
 
     fn relocations(&self) -> u64 {
@@ -416,15 +359,11 @@ impl Design for Kernel {
         }
     }
 
-    fn new_front() -> AnsweringService {
-        AnsweringService::new()
-    }
-
     fn register(&mut self, svc: &mut AnsweringService, name: &str) {
         svc.register(self, name, UserId(1), "pw", Label::BOTTOM);
     }
 
-    fn login(&mut self, svc: &mut AnsweringService, name: &str) -> Result<ProcessId, KernelError> {
+    fn login(&mut self, svc: &mut AnsweringService, name: &str) -> Res<Self, ProcessId> {
         svc.login(self, name, "pw", Label::BOTTOM)
     }
 
@@ -432,36 +371,15 @@ impl Design for Kernel {
         (NameSpace::new(self, pid), UserLinker::new(pid))
     }
 
-    fn logout(
-        &mut self,
-        svc: &mut AnsweringService,
-        _name: &str,
-        pid: ProcessId,
-    ) -> Result<(), KernelError> {
+    fn logout(&mut self, svc: &mut AnsweringService, _: &str, pid: ProcessId) -> Res<Self> {
         svc.logout(self, pid).map(|_| ())
-    }
-
-    fn queued(svc: &AnsweringService) -> usize {
-        svc.queued_logins()
-    }
-
-    fn pending(svc: &AnsweringService) -> Vec<String> {
-        svc.pending_names()
-    }
-
-    fn crash_front(svc: &mut AnsweringService) {
-        svc.crash_recover();
-    }
-
-    fn drop_youngest(svc: &mut AnsweringService) {
-        svc.drop_last_pending_for_test();
     }
 
     fn login_or_queue(
         &mut self,
         svc: &mut AnsweringService,
         idx: usize,
-    ) -> Result<Option<ProcessId>, KernelError> {
+    ) -> Res<Self, Option<ProcessId>> {
         let got = svc.login_or_queue(self, &account_name(idx), "pw", Label::BOTTOM)?;
         Ok(match got {
             Admission::Admitted(pid) => Some(pid),
@@ -483,7 +401,23 @@ impl Design for Kernel {
         }
     }
 
-    fn search(&mut self, drv: ProcessId, name: &str) -> Result<ObjToken, KernelError> {
+    fn queued(svc: &AnsweringService) -> usize {
+        svc.queued_logins()
+    }
+
+    fn pending(svc: &AnsweringService) -> Vec<String> {
+        svc.pending_names()
+    }
+
+    fn crash_front(svc: &mut AnsweringService) {
+        svc.crash_recover();
+    }
+
+    fn drop_youngest(svc: &mut AnsweringService) {
+        svc.drop_last_pending_for_test();
+    }
+
+    fn search(&mut self, drv: ProcessId, name: &str) -> Res<Self, ObjToken> {
         let root = self.root_token();
         self.dir_search(drv, root, name)
     }
@@ -491,148 +425,80 @@ impl Design for Kernel {
     /// The search walks only the root, which the driver's re-login has
     /// already forced out of quarantine, so a surviving shard keeps its
     /// token even while the salvager still holds it.
-    fn find_shard(
-        &mut self,
-        probe: &mut SalvageProbe,
-        drv: ProcessId,
-        name: &str,
-    ) -> Result<ObjToken, String> {
-        gate_retry(self, probe, &format!("shard {name} search"), |k| {
-            k.search(drv, name)
-        })
+    fn find_shard(&mut self, p: &mut SalvageProbe, drv: ProcessId, name: &str) -> Option<ObjToken> {
+        gate_retry(self, p, "shard search", |k| k.search(drv, name)).ok()
     }
 
-    fn create_seg(&mut self, drv: ProcessId, name: &str) -> Result<ObjToken, KernelError> {
+    fn create(&mut self, drv: ProcessId, name: &str, dir: bool) -> Res<Self, ObjToken> {
         let root = self.root_token();
-        self.create_entry(drv, root, name, Acl::owner(UserId(1)), Label::BOTTOM, false)
+        self.create_entry(drv, root, name, Acl::owner(UserId(1)), Label::BOTTOM, dir)
     }
 
-    fn create_dir(&mut self, drv: ProcessId, name: &str) -> Result<ObjToken, KernelError> {
-        let root = self.root_token();
-        self.create_entry(drv, root, name, Acl::owner(UserId(1)), Label::BOTTOM, true)
-    }
-
-    fn set_quota(
-        &mut self,
-        drv: ProcessId,
-        dir: ObjToken,
-        _name: &str,
-        quota: u32,
-    ) -> Result<(), KernelError> {
+    fn set_quota(&mut self, drv: ProcessId, dir: ObjToken, _: &str, quota: u32) -> Res<Self> {
         Kernel::set_quota(self, drv, dir, quota)
     }
 
-    fn open_dir(
-        &mut self,
-        drv: ProcessId,
-        dir: ObjToken,
-        _name: &str,
-    ) -> Result<ObjToken, KernelError> {
+    fn open_dir(&mut self, drv: ProcessId, dir: ObjToken, _: &str) -> Res<Self, ObjToken> {
         self.list_dir(drv, dir).map(|_| dir)
     }
 
-    fn file_dir(
-        &mut self,
-        _pid: ProcessId,
-        dir: ObjToken,
-        _name: &str,
-    ) -> Result<ObjToken, KernelError> {
+    fn file_dir(&mut self, _: ProcessId, dir: ObjToken, _: &str) -> Res<Self, ObjToken> {
         Ok(dir)
     }
 
-    fn create_in(
-        &mut self,
-        pid: ProcessId,
-        dir: ObjToken,
-        _dir_name: &str,
-        name: &str,
-    ) -> Result<u32, KernelError> {
+    fn create_in(&mut self, pid: ProcessId, dir: ObjToken, _: &str, name: &str) -> Res<Self, u32> {
         let tok = self.create_entry(pid, dir, name, Acl::owner(UserId(1)), Label::BOTTOM, false)?;
         Kernel::initiate(self, pid, tok)
     }
 
-    fn delete_file(
-        &mut self,
-        pid: ProcessId,
-        dir: ObjToken,
-        _dir_name: &str,
-        name: &str,
-    ) -> Result<(), KernelError> {
+    fn delete_file(&mut self, pid: ProcessId, dir: ObjToken, _: &str, name: &str) -> Res<Self> {
         self.delete_entry(pid, dir, name)
     }
 
-    fn initiate(&mut self, pid: ProcessId, obj: ObjToken, _name: &str) -> Result<u32, KernelError> {
+    fn initiate(&mut self, pid: ProcessId, obj: ObjToken, _: &str) -> Res<Self, u32> {
         Kernel::initiate(self, pid, obj)
     }
 
-    fn initiate_path(
-        &mut self,
-        _pid: ProcessId,
-        env: &mut Self::Env,
-        name: &str,
-    ) -> Result<u32, KernelError> {
+    fn initiate_path(&mut self, _: ProcessId, env: &mut Self::Env, name: &str) -> Res<Self, u32> {
         env.0.initiate(self, &format!(">{name}"))
     }
 
     fn publish_lib(
         &mut self,
-        probe: &mut SalvageProbe,
+        p: &mut SalvageProbe,
         drv: ProcessId,
         lib: ObjToken,
     ) -> Result<(), String> {
-        let segno = gate_retry(self, probe, "lib initiate", |k| {
-            Kernel::initiate(k, drv, lib)
-        })?;
-        let defs = defs();
+        let segno = gate_retry(self, p, "lib initiate", |k| Kernel::initiate(k, drv, lib))?;
+        let defs = definitions();
         let refs = def_refs(&defs);
-        gate_retry(self, probe, "lib publish", |k| {
+        gate_retry(self, p, "lib publish", |k| {
             publish_library(k, drv, segno, &refs)
         })
     }
 
-    fn link(
-        &mut self,
-        _pid: ProcessId,
-        env: &mut Self::Env,
-        sym: &str,
-    ) -> Result<u32, KernelError> {
+    fn link(&mut self, _: ProcessId, env: &mut Self::Env, sym: &str) -> Res<Self, u32> {
         let (ns, linker) = env;
         linker.link(self, ns, ">lib", sym).map(|l| l.offset)
     }
 
-    fn resolve(
-        &mut self,
-        _pid: ProcessId,
-        env: &mut Self::Env,
-        name: &str,
-    ) -> Result<(), KernelError> {
+    fn resolve(&mut self, _: ProcessId, env: &mut Self::Env, name: &str) -> Res<Self> {
         env.0.resolve(self, &format!(">{name}")).map(|_| ())
     }
 
-    fn read(&mut self, pid: ProcessId, segno: u32, offset: u32) -> Result<Word, KernelError> {
+    fn read(&mut self, pid: ProcessId, segno: u32, offset: u32) -> Res<Self, Word> {
         self.read_word(pid, segno, offset)
     }
 
-    fn read_resident(
-        &mut self,
-        pid: ProcessId,
-        segno: u32,
-        offset: u32,
-    ) -> Result<Word, KernelError> {
+    fn read_resident(&mut self, pid: ProcessId, segno: u32, offset: u32) -> Res<Self, Word> {
         self.resident_read_word(pid, segno, offset)
     }
 
-    fn write(
-        &mut self,
-        pid: ProcessId,
-        segno: u32,
-        offset: u32,
-        w: Word,
-    ) -> Result<(), KernelError> {
+    fn write(&mut self, pid: ProcessId, segno: u32, offset: u32, w: Word) -> Res<Self> {
         self.write_word(pid, segno, offset, w)
     }
 
-    fn salvage(&mut self, repair: bool) -> Result<Salvaged, KernelError> {
+    fn salvage(&mut self, repair: bool) -> Res<Self, Salvaged> {
         Kernel::salvage(self, repair).map(|r| Salvaged {
             problems: r.problems.len(),
             repairs: r.repairs.len(),
@@ -641,27 +507,26 @@ impl Design for Kernel {
         })
     }
 
-    fn begin_online(&mut self, release_early: bool) {
-        if release_early {
-            self.begin_online_salvage_with_cheat(Some(OnlineCheat::ReleaseBeforeCellRepair));
-        } else {
+    fn begin_online(&mut self, release_early: bool) -> Result<(), String> {
+        if !release_early {
             self.begin_online_salvage();
+            return Ok(());
         }
-    }
-
-    fn drift_root(&mut self) -> Result<(), String> {
         let root_uid = self.dirm.root();
         let mut flows = mx_aim::FlowTracker::new();
-        self.qcm
+        let drift = self
+            .qcm
             .charge(&mut self.machine, root_uid, 3, Label::BOTTOM, &mut flows)
-            .map_err(|e| format!("self-check drift injection failed: {e:?}"))
+            .map_err(|e| format!("self-check drift injection failed: {e:?}"));
+        self.begin_online_salvage_with_cheat(Some(OnlineCheat::ReleaseBeforeCellRepair));
+        drift
     }
 
     fn salvage_active(&self) -> bool {
         self.online_salvage_active()
     }
 
-    fn salvage_step(&mut self) -> Result<Step, KernelError> {
+    fn salvage_step(&mut self) -> Res<Self, Step> {
         Ok(match self.online_salvage_step()? {
             OnlineProgress::Released {
                 dir, recheck_clean, ..
@@ -758,7 +623,7 @@ impl Design for Supervisor {
         oracle::check_legacy(self)
     }
 
-    fn sync(&mut self) -> Result<(), LegacyError> {
+    fn sync(&mut self) -> Res<Self> {
         self.sync_to_disk()
     }
 
@@ -766,20 +631,16 @@ impl Design for Supervisor {
         Supervisor::dispatch(self);
     }
 
-    fn set_policy(&mut self, _policy: Option<Box<dyn SchedulePolicy>>) {}
+    fn set_policy(&mut self, _: Option<Box<dyn SchedulePolicy>>) {}
 
-    fn schedule_name(_policy: C1Policy) -> String {
+    fn schedule_name(_: C1Policy) -> String {
         "inherent".to_string()
     }
 
     fn reset_probes(&mut self) {}
 
-    fn queue_delay(&self) -> (u64, u64) {
-        (0, 0)
-    }
-
-    fn queue_hwm(&self) -> usize {
-        0
+    fn queue_probes(&self) -> ((u64, u64), usize) {
+        ((0, 0), 0)
     }
 
     fn relocations(&self) -> u64 {
@@ -798,45 +659,18 @@ impl Design for Supervisor {
         }
     }
 
-    fn new_front() -> VecDeque<usize> {
-        VecDeque::new()
-    }
-
-    fn register(&mut self, _queue: &mut VecDeque<usize>, name: &str) {
+    fn register(&mut self, _: &mut VecDeque<usize>, name: &str) {
         self.register_user(name, LUserId(1), "pw", Label::BOTTOM);
     }
 
-    fn login(
-        &mut self,
-        _queue: &mut VecDeque<usize>,
-        name: &str,
-    ) -> Result<LProcessId, LegacyError> {
+    fn login(&mut self, _: &mut VecDeque<usize>, name: &str) -> Res<Self, LProcessId> {
         Supervisor::login(self, name, "pw", Label::BOTTOM)
     }
 
-    fn open_env(&mut self, _pid: LProcessId) {}
+    fn open_env(&mut self, _: LProcessId) {}
 
-    fn logout(
-        &mut self,
-        _queue: &mut VecDeque<usize>,
-        name: &str,
-        pid: LProcessId,
-    ) -> Result<(), LegacyError> {
+    fn logout(&mut self, _: &mut VecDeque<usize>, name: &str, pid: LProcessId) -> Res<Self> {
         Supervisor::logout(self, name, pid).map(|_| ())
-    }
-
-    fn queued(queue: &VecDeque<usize>) -> usize {
-        queue.len()
-    }
-
-    fn pending(queue: &VecDeque<usize>) -> Vec<String> {
-        queue.iter().map(|&idx| account_name(idx)).collect()
-    }
-
-    fn crash_front(_queue: &mut VecDeque<usize>) {}
-
-    fn drop_youngest(queue: &mut VecDeque<usize>) {
-        queue.pop_back();
     }
 
     /// The old answering service refuses when the process table is
@@ -845,7 +679,7 @@ impl Design for Supervisor {
         &mut self,
         queue: &mut VecDeque<usize>,
         idx: usize,
-    ) -> Result<Option<LProcessId>, LegacyError> {
+    ) -> Res<Self, Option<LProcessId>> {
         match Supervisor::login(self, &account_name(idx), "pw", Label::BOTTOM) {
             Ok(pid) => Ok(Some(pid)),
             Err(LegacyError::NoSuchProcess) => {
@@ -857,27 +691,41 @@ impl Design for Supervisor {
     }
 
     fn admit_pass(&mut self, queue: &mut VecDeque<usize>) -> Admit<Self> {
-        let mut pass = Admit {
-            admitted: Vec::new(),
-            refused: Vec::new(),
-            busy: false,
-        };
+        let (mut admitted, mut refused, mut busy) = (Vec::new(), Vec::new(), false);
         while let Some(&idx) = queue.front() {
             match Supervisor::login(self, &account_name(idx), "pw", Label::BOTTOM) {
-                Ok(pid) => pass.admitted.push((idx, pid)),
+                Ok(pid) => admitted.push((idx, pid)),
                 Err(LegacyError::NoSuchProcess) => break,
                 Err(LegacyError::SalvageBusy) => {
-                    pass.busy = true;
+                    busy = true;
                     break;
                 }
-                Err(e) => pass.refused.push((idx, e)),
+                Err(e) => refused.push((idx, e)),
             }
             queue.pop_front();
         }
-        pass
+        Admit {
+            admitted,
+            refused,
+            busy,
+        }
     }
 
-    fn search(&mut self, drv: LProcessId, name: &str) -> Result<Option<SegUid>, LegacyError> {
+    fn queued(queue: &VecDeque<usize>) -> usize {
+        queue.len()
+    }
+
+    fn pending(queue: &VecDeque<usize>) -> Vec<String> {
+        queue.iter().map(|&idx| account_name(idx)).collect()
+    }
+
+    fn crash_front(_: &mut VecDeque<usize>) {}
+
+    fn drop_youngest(queue: &mut VecDeque<usize>) {
+        queue.pop_back();
+    }
+
+    fn search(&mut self, drv: LProcessId, name: &str) -> Res<Self, Self::Dir> {
         self.resolve(drv, name, AccessRight::Read)
             .map(|(uid, _)| Some(uid))
     }
@@ -887,64 +735,46 @@ impl Design for Supervisor {
     /// exists. Only a genuine miss is an error.
     fn find_shard(
         &mut self,
-        _probe: &mut SalvageProbe,
+        _: &mut SalvageProbe,
         drv: LProcessId,
         name: &str,
-    ) -> Result<Option<SegUid>, String> {
+    ) -> Option<Self::Dir> {
         match self.resolve(drv, name, AccessRight::Read) {
-            Ok((uid, _)) => Ok(Some(uid)),
-            Err(LegacyError::SalvageBusy) => Ok(None),
-            Err(e) => Err(format!("shard {name} search: {e:?}")),
+            Ok((uid, _)) => Some(Some(uid)),
+            Err(LegacyError::SalvageBusy) => Some(None),
+            Err(_) => None,
         }
     }
 
-    fn create_seg(&mut self, _drv: LProcessId, name: &str) -> Result<Option<SegUid>, LegacyError> {
-        let root = self.root();
-        self.create_segment_in(root, name, LAcl::owner(LUserId(1)), Label::BOTTOM)
-            .map(Some)
+    fn create(&mut self, _: LProcessId, name: &str, dir: bool) -> Res<Self, Self::Dir> {
+        let (root, acl) = (self.root(), LAcl::owner(LUserId(1)));
+        if dir {
+            self.create_directory_in(root, name, acl, Label::BOTTOM)
+        } else {
+            self.create_segment_in(root, name, acl, Label::BOTTOM)
+        }
+        .map(Some)
     }
 
-    fn create_dir(&mut self, _drv: LProcessId, name: &str) -> Result<Option<SegUid>, LegacyError> {
-        let root = self.root();
-        self.create_directory_in(root, name, LAcl::owner(LUserId(1)), Label::BOTTOM)
-            .map(Some)
-    }
-
-    fn set_quota(
-        &mut self,
-        drv: LProcessId,
-        _dir: Option<SegUid>,
-        name: &str,
-        quota: u32,
-    ) -> Result<(), LegacyError> {
+    fn set_quota(&mut self, drv: LProcessId, _: Self::Dir, name: &str, quota: u32) -> Res<Self> {
         self.set_quota_directory(drv, name, quota)
     }
 
-    fn open_dir(
-        &mut self,
-        drv: LProcessId,
-        _dir: Option<SegUid>,
-        name: &str,
-    ) -> Result<Option<SegUid>, LegacyError> {
+    fn open_dir(&mut self, drv: LProcessId, _: Self::Dir, name: &str) -> Res<Self, Self::Dir> {
         Design::search(self, drv, name)
     }
 
-    fn file_dir(
-        &mut self,
-        pid: LProcessId,
-        _dir: Option<SegUid>,
-        name: &str,
-    ) -> Result<Option<SegUid>, LegacyError> {
+    fn file_dir(&mut self, pid: LProcessId, _: Self::Dir, name: &str) -> Res<Self, Self::Dir> {
         Design::search(self, pid, name)
     }
 
     fn create_in(
         &mut self,
         pid: LProcessId,
-        dir: Option<SegUid>,
+        dir: Self::Dir,
         dir_name: &str,
         name: &str,
-    ) -> Result<u32, LegacyError> {
+    ) -> Res<Self, u32> {
         let uid = dir.expect("a resolved or created directory");
         self.create_segment_in(uid, name, LAcl::owner(LUserId(1)), Label::BOTTOM)?;
         Supervisor::initiate(self, pid, &path(dir_name, name))
@@ -953,28 +783,18 @@ impl Design for Supervisor {
     fn delete_file(
         &mut self,
         pid: LProcessId,
-        _dir: Option<SegUid>,
+        _: Self::Dir,
         dir_name: &str,
         name: &str,
-    ) -> Result<(), LegacyError> {
+    ) -> Res<Self> {
         self.delete(pid, &path(dir_name, name))
     }
 
-    fn initiate(
-        &mut self,
-        pid: LProcessId,
-        _obj: Option<SegUid>,
-        name: &str,
-    ) -> Result<u32, LegacyError> {
+    fn initiate(&mut self, pid: LProcessId, _: Self::Dir, name: &str) -> Res<Self, u32> {
         Supervisor::initiate(self, pid, name)
     }
 
-    fn initiate_path(
-        &mut self,
-        pid: LProcessId,
-        _env: &mut (),
-        name: &str,
-    ) -> Result<u32, LegacyError> {
+    fn initiate_path(&mut self, pid: LProcessId, _: &mut (), name: &str) -> Res<Self, u32> {
         Supervisor::initiate(self, pid, name)
     }
 
@@ -984,53 +804,42 @@ impl Design for Supervisor {
     /// so both designs start with identical storage.
     fn publish_lib(
         &mut self,
-        probe: &mut SalvageProbe,
+        p: &mut SalvageProbe,
         drv: LProcessId,
-        lib: Option<SegUid>,
+        lib: Self::Dir,
     ) -> Result<(), String> {
-        let defs = defs();
+        let defs = definitions();
         let refs = def_refs(&defs);
         self.publish_definitions(lib.expect("a resolved or created library"), &refs);
-        let segno = gate_retry(self, probe, "lib initiate", |s| {
+        let segno = gate_retry(self, p, "lib initiate", |s| {
             Supervisor::initiate(s, drv, "lib")
         })?;
-        gate_retry(self, probe, "lib page", |s| {
+        gate_retry(self, p, "lib page", |s| {
             s.user_write(drv, segno, 0, Word::new(refs.len() as u64))
         })
     }
 
-    fn link(&mut self, pid: LProcessId, _env: &mut (), sym: &str) -> Result<u32, LegacyError> {
+    fn link(&mut self, pid: LProcessId, _: &mut (), sym: &str) -> Res<Self, u32> {
         Supervisor::link(self, pid, "lib", sym).map(|l| l.offset)
     }
 
-    fn resolve(&mut self, pid: LProcessId, _env: &mut (), name: &str) -> Result<(), LegacyError> {
+    fn resolve(&mut self, pid: LProcessId, _: &mut (), name: &str) -> Res<Self> {
         Supervisor::resolve(self, pid, name, AccessRight::Read).map(|_| ())
     }
 
-    fn read(&mut self, pid: LProcessId, segno: u32, offset: u32) -> Result<Word, LegacyError> {
+    fn read(&mut self, pid: LProcessId, segno: u32, offset: u32) -> Res<Self, Word> {
         self.user_read(pid, segno, offset)
     }
 
-    fn read_resident(
-        &mut self,
-        pid: LProcessId,
-        segno: u32,
-        offset: u32,
-    ) -> Result<Word, LegacyError> {
+    fn read_resident(&mut self, pid: LProcessId, segno: u32, offset: u32) -> Res<Self, Word> {
         self.user_read(pid, segno, offset)
     }
 
-    fn write(
-        &mut self,
-        pid: LProcessId,
-        segno: u32,
-        offset: u32,
-        w: Word,
-    ) -> Result<(), LegacyError> {
+    fn write(&mut self, pid: LProcessId, segno: u32, offset: u32, w: Word) -> Res<Self> {
         self.user_write(pid, segno, offset, w)
     }
 
-    fn salvage(&mut self, repair: bool) -> Result<Salvaged, LegacyError> {
+    fn salvage(&mut self, repair: bool) -> Res<Self, Salvaged> {
         Supervisor::salvage(self, repair).map(|r| Salvaged {
             problems: r.problems.len(),
             repairs: r.repairs.len(),
@@ -1039,30 +848,29 @@ impl Design for Supervisor {
         })
     }
 
-    fn begin_online(&mut self, release_early: bool) {
-        if release_early {
-            self.begin_online_salvage_with_cheat(Some(LegacyOnlineCheat::ReleaseBeforeCellRepair));
-        } else {
+    fn begin_online(&mut self, release_early: bool) -> Result<(), String> {
+        if !release_early {
             self.begin_online_salvage();
+            return Ok(());
         }
-    }
-
-    fn drift_root(&mut self) -> Result<(), String> {
-        let astx = self
-            .ast
-            .find(self.root())
-            .ok_or_else(|| "self-check drift injection found no root AST entry".to_string())?;
-        if let Some(q) = self.ast.get_mut(astx).and_then(|a| a.quota.as_mut()) {
-            q.used += 3;
-        }
-        Ok(())
+        let drift = match self.ast.find(self.root()) {
+            Some(astx) => {
+                if let Some(q) = self.ast.get_mut(astx).and_then(|a| a.quota.as_mut()) {
+                    q.used += 3;
+                }
+                Ok(())
+            }
+            None => Err("self-check drift injection found no root AST entry".to_string()),
+        };
+        self.begin_online_salvage_with_cheat(Some(LegacyOnlineCheat::ReleaseBeforeCellRepair));
+        drift
     }
 
     fn salvage_active(&self) -> bool {
         self.online_salvage_active()
     }
 
-    fn salvage_step(&mut self) -> Result<Step, LegacyError> {
+    fn salvage_step(&mut self) -> Res<Self, Step> {
         Ok(match self.online_salvage_step()? {
             LegacyOnlineProgress::Released {
                 dir, recheck_clean, ..
@@ -1087,7 +895,7 @@ impl Design for Supervisor {
             .map_err(|e| format!("{e:?}"))
     }
 
-    fn net_read(&mut self, _pid: LProcessId, net: NetworkId, ch: u16) -> Result<Vec<u8>, String> {
+    fn net_read(&mut self, _: LProcessId, net: NetworkId, ch: u16) -> Result<Vec<u8>, String> {
         self.network_read_channel(net, ch)
             .map_err(|e| format!("{e:?}"))
     }

@@ -39,9 +39,8 @@
 use crate::design::{gate_retry, Design};
 use crate::hist::{Histogram, HistogramError};
 use crate::run::{
-    account_name, drive_until, file_name, make_dir, publish_fixtures, restore_file, setup,
-    shard_name, storm, Deferred, Driver, EngineState, Harness, LoadSpec, SalvageProbe, Session,
-    WorldCtx,
+    account_name, drive_until, file_name, restore_file, setup, shard_name, storm, Build, Deferred,
+    Driver, EngineState, Harness, LoadSpec, SalvageProbe, Session, WorldCtx,
 };
 use crate::script::SessionScript;
 use mx_explore::{PctPolicy, SeededRandomPolicy};
@@ -382,18 +381,22 @@ impl S1Spec {
 
     /// Completed operations per epoch (see [`C1Spec::ops_per_epoch`]).
     pub fn ops_per_epoch(&self) -> u64 {
-        2 * self.sessions as u64
+        self.base().ops_per_epoch()
     }
 
     /// The replayable identity of a run on `design`.
     pub fn repro(&self, design: &str) -> String {
-        format!(
-            "seed={:#x} plan={:#x} schedule={} sessions={} crashes={} design={design} mode=online",
+        format!("{} mode=online", self.base().repro(design))
+    }
+
+    /// The same crash schedule as a stop-the-world run.
+    fn base(&self) -> C1Spec {
+        C1Spec::new(
+            self.sessions,
             self.seed,
             self.plan_seed,
-            self.policy.descriptor(),
-            self.sessions,
-            self.crashes
+            self.crashes,
+            self.policy,
         )
     }
 }
@@ -526,25 +529,14 @@ impl S1Run {
 
 /// One crash-segmented run, C1 or S1, as the epoch loop sees it.
 struct Plan {
-    sessions: usize,
-    seed: u64,
-    plan_seed: u64,
-    crashes: u32,
-    policy: C1Policy,
+    /// The population, seeds, crash count, schedule, and C1 self-check.
+    spec: C1Spec,
     /// Online salvage (S1) instead of two stop-the-world passes (C1).
     online: bool,
-    /// The C1 self-check: forget a queued login at the first recovery.
-    drop_queued: bool,
     /// The S1 self-check: a salvager that releases before repairing.
     release_early: bool,
     /// The replayable identity every violation carries.
     repro: String,
-}
-
-impl Plan {
-    fn ops_per_epoch(&self) -> u64 {
-        2 * self.sessions as u64
-    }
 }
 
 /// One epoch's figures, superset of both report shapes.
@@ -596,11 +588,11 @@ impl Outcome {
             ));
         }
         let ends = terminals(&self.st.parity);
-        if ends != plan.sessions {
+        if ends != plan.spec.sessions {
             self.violations.push(format!(
                 "{design} final: {ends} sessions reached a terminal label but {} were scripted \
                  — recovery lost sessions [{repro}]",
-                plan.sessions
+                plan.spec.sessions
             ));
         }
         self
@@ -656,13 +648,14 @@ fn end_epoch<D: Design>(
     for v in d.sys.oracle() {
         violations.push(format!("{} {at}: {v} [{repro}]", D::NAME));
     }
+    let (queue_delay, event_queue_hwm) = d.sys.queue_probes();
     Figures {
         report: S1EpochReport {
             queued_at_crash: D::queued(&d.front),
             ..S1EpochReport::default()
         },
-        queue_delay: d.sys.queue_delay(),
-        event_queue_hwm: d.sys.queue_hwm(),
+        queue_delay,
+        event_queue_hwm,
     }
 }
 
@@ -672,12 +665,12 @@ fn end_epoch<D: Design>(
 /// the resumed stream) and reconciles, and the stream resumes exactly
 /// where it stopped.
 fn run_epochs<D: Design>(plan: &Plan) -> Outcome {
-    let tag = D::NAME;
+    let (tag, spec) = (D::NAME, &plan.spec);
     let repro = plan.repro.as_str();
-    let load = LoadSpec::continuous(plan.sessions, plan.seed);
+    let load = LoadSpec::continuous(spec.sessions, spec.seed);
     let scripts = load.scripts();
     let mut out = Outcome {
-        st: EngineState::new(),
+        st: EngineState::default(),
         epochs: Vec::new(),
         epoch_bounds: Vec::new(),
         load_cycles: 0,
@@ -694,13 +687,13 @@ fn run_epochs<D: Design>(plan: &Plan) -> Outcome {
     // disk before the first crash can happen.
     d.sys.sync().expect("setup sync");
     d.sys.reset_probes();
-    d.sys.set_policy(plan.policy.make(0));
+    d.sys.set_policy(spec.policy.make(0));
     storm(&mut d, &scripts, &mut out.st);
 
     let mut epoch_base = d.now();
     let mut drained = false;
-    for e in 0..u64::from(plan.crashes) {
-        let stop = Some((e + 1) * plan.ops_per_epoch());
+    for e in 0..u64::from(spec.crashes) {
+        let stop = Some((e + 1) * spec.ops_per_epoch());
         drained = drive_until(&mut d, &scripts, &mut out.st, stop);
         let at = format!("epoch {e}");
         let mut fig = end_epoch(&mut d, &mut out.epochs, &mut out.violations, repro, &at);
@@ -721,7 +714,7 @@ fn run_epochs<D: Design>(plan: &Plan) -> Outcome {
         if let Err(err) = d.sys.write(ctx.drv, ctx.shared_segno, 1, beacon) {
             out.violations.push(fail(format!("beacon write: {err:?}")));
         }
-        let mode = crash_mode(plan.plan_seed, e);
+        let mode = crash_mode(spec.plan_seed, e);
         d.sys
             .machine_mut()
             .faults
@@ -757,13 +750,9 @@ fn run_epochs<D: Design>(plan: &Plan) -> Outcome {
         let mut probe = SalvageProbe::default();
         if plan.online {
             // Quarantine the hierarchy and resume before it is repaired.
-            let cheat = e == 0 && plan.release_early;
-            if cheat {
-                if let Err(msg) = sys.drift_root() {
-                    out.violations.push(fail(msg));
-                }
+            if let Err(msg) = sys.begin_online(e == 0 && plan.release_early) {
+                out.violations.push(fail(msg));
             }
-            sys.begin_online(cheat);
             probe.begin_at = Some(sys.machine().clock.now());
         } else {
             match (sys.salvage(true), sys.salvage(false)) {
@@ -786,44 +775,41 @@ fn run_epochs<D: Design>(plan: &Plan) -> Outcome {
                     .push(format!("{tag} epoch {e} post-salvage: {v} [{repro}]"));
             }
         }
-        let world = reconcile(
-            &mut sys,
-            &mut front,
+        let mut next = Driver {
+            sys,
+            front,
+            sessions: Vec::new(),
+            dirs: Vec::new(),
+            salvage: probe,
+            deferred: Vec::new(),
+        };
+        match reconcile(
+            &mut next,
             &load,
             &scripts,
             &out.st,
             &old_sessions,
-            &mut probe,
             plan.online,
-        );
-        let (sessions, dirs, nctx, deferred) = match world {
-            Ok(world) => world,
+        ) {
+            Ok(nctx) => ctx = nctx,
             Err(msg) => {
                 out.violations.push(fail(format!("reconcile: {msg}")));
-                for v in probe.violations.drain(..) {
+                for v in next.salvage.violations.drain(..) {
                     out.violations
                         .push(format!("{tag} epoch {e} online salvage: {v} [{repro}]"));
                 }
                 out.epochs.push(fig);
                 return out.close(plan, tag, 0);
             }
-        };
-        if D::pending(&front) != pending_before {
+        }
+        if D::pending(&next.front) != pending_before {
             out.violations.push(fail(format!(
                 "admission queue changed across recovery — {pending_before:?} became {:?}",
-                D::pending(&front)
+                D::pending(&next.front)
             )));
         }
-        ctx = nctx;
-        d = Driver {
-            sys,
-            front,
-            sessions,
-            dirs,
-            salvage: probe,
-            deferred,
-        };
-        if e == 0 && plan.drop_queued {
+        d = next;
+        if e == 0 && spec.self_check == C1SelfCheck::DropQueuedLogin {
             D::drop_youngest(&mut d.front);
         }
         // Apply at once whatever the reconcile's own salvager stepping
@@ -835,7 +821,7 @@ fn run_epochs<D: Design>(plan: &Plan) -> Outcome {
         fig.report.crashed = true;
         out.epochs.push(fig);
 
-        d.sys.set_policy(plan.policy.make(e + 1));
+        d.sys.set_policy(spec.policy.make(e + 1));
         // Recovery and reconciliation traffic must not leak into the
         // next epoch's figures.
         d.sys.reset_probes();
@@ -856,16 +842,6 @@ fn run_epochs<D: Design>(plan: &Plan) -> Outcome {
     out.close(plan, tag, stranded)
 }
 
-/// What [`reconcile`] rebuilds: sessions, shard directories, the driver
-/// context, and (online) the per-shard repair work parked until the
-/// salvager releases each shard.
-type World<D> = (
-    Vec<Option<Session<D>>>,
-    Vec<<D as Design>::Dir>,
-    WorldCtx<<D as Design>::Pid>,
-    Vec<Deferred<D>>,
-);
-
 /// Rebuilds the user world after a recovery bootload: re-registers the
 /// (in-core, therefore lost) accounts, re-opens the driver session,
 /// reconciles the shared fixtures and shard directories against
@@ -882,35 +858,33 @@ type World<D> = (
 /// [`Deferred`] and applied the moment the salvager releases (or is
 /// proven to have dropped) that shard, and the stream resumes before
 /// the hierarchy is fully repaired.
-#[allow(clippy::too_many_arguments)]
 fn reconcile<D: Design>(
-    sys: &mut D,
-    front: &mut D::Front,
+    d: &mut Driver<D>,
     load: &LoadSpec,
     scripts: &[SessionScript],
     st: &EngineState,
     old_sessions: &[Option<Session<D>>],
-    probe: &mut SalvageProbe,
     online: bool,
-) -> Result<World<D>, String> {
+) -> Result<WorldCtx<D::Pid>, String> {
+    let (sys, front, probe) = (&mut d.sys, &mut d.front, &mut d.salvage);
     sys.register(front, "drv");
     for idx in 0..load.sessions {
         sys.register(front, &account_name(idx));
     }
     let drv = gate_retry(sys, probe, "driver re-login", |d| d.login(front, "drv"))?;
-    let shared_segno = publish_fixtures(sys, probe, drv, false)?;
+    let mut b = Build { sys, probe, drv };
+    let shared_segno = b.fixtures(false)?;
 
     // Shard directories: keep survivors (their salvaged quota cells are
     // the disk truth — neither design's set-quota call is idempotent),
     // recreate and re-cap only what vanished.
-    let mut dirs = Vec::new();
     for j in 0..load.shards() {
         let name = shard_name(j);
-        let dir = match sys.find_shard(probe, drv, &name) {
-            Ok(dir) => dir,
-            Err(_) => make_dir(sys, probe, drv, &name, load.shard_quota())?,
+        let dir = match b.sys.find_shard(b.probe, drv, &name) {
+            Some(dir) => dir,
+            None => b.dir(&name, load.shard_quota())?,
         };
-        dirs.push(dir);
+        d.dirs.push(dir);
     }
 
     if !online {
@@ -921,7 +895,7 @@ fn reconcile<D: Design>(
         // tidy-up — both designs do it identically, so parity is
         // unaffected).
         for (idx, script) in scripts.iter().enumerate() {
-            let (dir, name) = (dirs[script.shard], shard_name(script.shard));
+            let (dir, name) = (d.dirs[script.shard], shard_name(script.shard));
             let _ = sys.delete_file(drv, dir, &name, &file_name(idx));
         }
     }
@@ -930,7 +904,7 @@ fn reconcile<D: Design>(
     // with zero pages grown) from never-created — a difference invisible
     // in the label stream but load-bearing for replay.
     let had_own = |idx: usize| old_sessions[idx].as_ref().is_some_and(|o| o.own.is_some());
-    let mut sessions: Vec<Option<Session<D>>> = (0..load.sessions).map(|_| None).collect();
+    d.sessions = (0..load.sessions).map(|_| None).collect();
     for lv in &st.live {
         let idx = lv.idx;
         let pid = gate_retry(sys, probe, &format!("survivor u{idx} re-login"), |d| {
@@ -942,22 +916,17 @@ fn reconcile<D: Design>(
             let shard = scripts[idx].shard;
             let name = shard_name(shard);
             let dir = sys
-                .file_dir(pid, dirs[shard], &name)
+                .file_dir(pid, d.dirs[shard], &name)
                 .map_err(|e| format!("survivor u{idx} shard resolve: {e:?}"))?;
             own = Some(restore_file(sys, pid, dir, &name, idx, &lv.grown_vals)?);
         }
-        sessions[idx] = Some(Session {
-            pid,
-            env,
-            own,
-            shared_segno: None,
-        });
+        let mut s = Session::new(pid, env);
+        s.own = own;
+        d.sessions[idx] = Some(s);
     }
 
-    let deferred = if !online {
-        Vec::new()
-    } else {
-        (0..load.shards())
+    if online {
+        d.deferred = (0..load.shards())
             .map(|j| Deferred {
                 shard: j,
                 drv,
@@ -972,20 +941,15 @@ fn reconcile<D: Design>(
                     .map(|lv| (lv.idx, lv.grown_vals.clone()))
                     .collect(),
             })
-            .collect()
-    };
-    Ok((sessions, dirs, WorldCtx { drv, shared_segno }, deferred))
+            .collect();
+    }
+    Ok(WorldCtx { drv, shared_segno })
 }
 
 fn run_c1<D: Design>(spec: &C1Spec) -> C1Run {
     let plan = Plan {
-        sessions: spec.sessions,
-        seed: spec.seed,
-        plan_seed: spec.plan_seed,
-        crashes: spec.crashes,
-        policy: spec.policy,
+        spec: *spec,
         online: false,
-        drop_queued: spec.self_check == C1SelfCheck::DropQueuedLogin,
         release_early: false,
         repro: spec.repro(D::NAME),
     };
@@ -1010,13 +974,8 @@ fn run_c1<D: Design>(spec: &C1Spec) -> C1Run {
 
 fn run_s1<D: Design>(spec: &S1Spec) -> S1Run {
     let plan = Plan {
-        sessions: spec.sessions,
-        seed: spec.seed,
-        plan_seed: spec.plan_seed,
-        crashes: spec.crashes,
-        policy: spec.policy,
+        spec: spec.base(),
         online: true,
-        drop_queued: false,
         release_early: spec.self_check == S1SelfCheck::ReleaseBeforeCellRepair,
         repro: spec.repro(D::NAME),
     };

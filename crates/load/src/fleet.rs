@@ -31,12 +31,12 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::design::{Design, Shape};
+use crate::design::{Design, Res, Shape};
 use crate::hist::Histogram;
 use crate::run::{
-    account_name, create_file, drive_until, file_name, labelled, make_dir, publish_fixtures,
-    shard_name, storm, symbol, Action, EngineState, Harness, LoadRun, LoadSpec, ResolveTarget,
-    SalvageProbe, PW,
+    account_name, boot_with_driver, create_file, drive, file_name, parity_gaps, session_op,
+    shard_name, symbol, Action, Build, Harness, LoadRun, LoadSpec, ResolveTarget, SalvageProbe,
+    Session, PW,
 };
 use mx_hw::meter::{EdgeSet, MeterSnapshot};
 use mx_hw::{DiskSystem, Language, Subsystem, Word};
@@ -80,9 +80,9 @@ const OP_MIG_WRITE: u8 = 10;
 const OP_MIG_COMMIT: u8 = 11;
 
 const ST_OK: u8 = 0;
-const ST_QUOTA: u8 = 1;
-const ST_FULL: u8 = 2;
 const ST_ERR: u8 = 3;
+/// Reply status bytes: the index of the op's outcome class.
+const STATUS: [&str; 4] = ["ok", "quota", "full", "err"];
 
 /// Request payload: op, session index, shard, `a`, then `b` — fixed 14
 /// bytes so a mangled frame is detectable by length alone.
@@ -91,11 +91,7 @@ const REQ_LEN: usize = 14;
 const RESP_LEN: usize = 9;
 
 fn status_name(st: u8) -> &'static str {
-    match st {
-        ST_QUOTA => "quota",
-        ST_FULL => "full",
-        _ => "err",
-    }
+    STATUS.get(usize::from(st)).copied().unwrap_or("err")
 }
 
 /// One remote request, before framing.
@@ -385,21 +381,8 @@ impl FleetRun {
     /// user-indistinguishable from one machine.
     pub fn check_against(&self, single: &LoadRun) -> Vec<String> {
         let mut out = self.violations.clone();
-        if self.parity.len() != single.parity.len() {
-            out.push(format!(
-                "parity: fleet emitted {} labels, single-machine {}",
-                self.parity.len(),
-                single.parity.len()
-            ));
-        }
-        for (i, (f, s)) in self.parity.iter().zip(single.parity.iter()).enumerate() {
-            if f != s {
-                out.push(format!(
-                    "parity: label {i} differs — fleet '{f}', single-machine '{s}'"
-                ));
-                break;
-            }
-        }
+        let (fleet, one) = (&self.parity, &single.parity);
+        out.extend(parity_gaps("fleet", fleet, "single-machine", one));
         if self.queued_peak != single.queued_peak {
             out.push(format!(
                 "admission: fleet queue peaked at {}, single-machine at {}",
@@ -448,16 +431,13 @@ fn fleet_conservation(totals: &[(u64, u64)]) -> Vec<String> {
 
 /// The fleet's status byte for a failed op.
 fn status<D: Design>(e: &D::Error) -> u8 {
-    match D::label(e) {
-        "quota" => ST_QUOTA,
-        "full" => ST_FULL,
-        _ => ST_ERR,
-    }
+    let label = D::label(e);
+    STATUS.iter().position(|&s| s == label).unwrap_or(3) as u8
 }
 
 /// The status reply for an op's outcome: `(ST_OK, ok)` or the error's
 /// status with `err` as the value.
-fn reply<D: Design, T>(got: Result<T, D::Error>, ok: impl FnOnce(T) -> u64, err: u64) -> (u8, u64) {
+fn reply<D: Design, T>(got: Res<D, T>, ok: impl FnOnce(T) -> u64, err: u64) -> (u8, u64) {
     match got {
         Ok(v) => (ST_OK, ok(v)),
         Err(e) => (status::<D>(&e), err),
@@ -501,14 +481,16 @@ impl<D: Design> Member<D> {
     }
 }
 
+/// A fleet session: the one-machine session state on its home machine,
+/// plus where its file lives.
 struct FSession<D: Design> {
+    s: Session<D>,
     home: usize,
-    pid: D::Pid,
-    env: D::Env,
-    own: Option<u32>,
+    /// The file exists somewhere in the fleet (a remote grow created it).
     own_created: bool,
+    /// The file moved to the store.
     migrated: bool,
-    shared_segno: Option<u32>,
+    /// The values grown so far, for migration.
     pages: Vec<u64>,
 }
 
@@ -546,39 +528,30 @@ fn setup_fleet<D: Design>(
             shape.records_per_pack = 12;
             shape.toc_slots_per_pack = 24;
         }
-        let mut sys = D::boot(&shape);
-        if spec.migratory && m != 0 {
-            // The relocation target pack, roomy enough that the member
-            // never runs entirely out while migrations drain it.
-            sys.machine_mut().disks.attach(512, 128);
-        }
-        let mut front = D::new_front();
-        sys.register(&mut front, "drv");
-        let drv = sys.login(&mut front, "drv").expect("driver login");
+        // The relocation target pack, roomy enough that the member never
+        // runs entirely out while migrations drain it.
+        let pack = (spec.migratory && m != 0).then_some((512, 128));
+        let (mut sys, mut front, drv) = boot_with_driver::<D>(&shape, pack);
         let env = sys.open_env(drv);
         let mut probe = SalvageProbe::default();
-        let mut dirs = HashMap::new();
-        let mut mig = None;
-        let mut shared_segno = None;
+        let mut b = Build {
+            sys: &mut sys,
+            probe: &mut probe,
+            drv,
+        };
+        let (mut shared_segno, mut mig) = (None, None);
         if m == 0 {
-            shared_segno =
-                Some(publish_fixtures(&mut sys, &mut probe, drv, true).expect("store fixtures"));
+            shared_segno = Some(b.fixtures(true).expect("store fixtures"));
             // The migration landing zone, capped roomily: it only ever
             // holds files full packs pushed off member machines.
             let quota = 2 * base.sessions as u32 + 64;
-            mig = Some(make_dir(&mut sys, &mut probe, drv, "mig", quota).expect("mig dir"));
+            mig = Some(b.dir("mig", quota).expect("mig dir"));
         }
-        for j in (0..base.shards()).filter(|j| j % spec.machines == m) {
-            let dir = make_dir(
-                &mut sys,
-                &mut probe,
-                drv,
-                &shard_name(j),
-                base.shard_quota(),
-            )
-            .expect("shard dir");
-            dirs.insert(j, dir);
-        }
+        let quota = base.shard_quota();
+        let dirs: HashMap<usize, D::Dir> = (0..base.shards())
+            .filter(|j| j % spec.machines == m)
+            .map(|j| (j, b.dir(&shard_name(j), quota).expect("shard dir")))
+            .collect();
         for (idx, &h) in homes.iter().enumerate() {
             if h == m {
                 sys.register(&mut front, &account_name(idx));
@@ -885,13 +858,10 @@ impl<D: Design> Fleet<D> {
             Ok(pid) => {
                 let env = m.sys.open_env(pid);
                 self.sessions[idx] = Some(FSession {
+                    s: Session::new(pid, env),
                     home,
-                    pid,
-                    env,
-                    own: None,
                     own_created: false,
                     migrated: false,
-                    shared_segno: None,
                     pages: Vec::new(),
                 });
                 self.live += 1;
@@ -912,11 +882,11 @@ impl<D: Design> Fleet<D> {
             return;
         }
         self.ms[owner].reloc_seen = reloc;
-        let Some(s) = self.sessions[idx].as_ref() else {
+        let Some(fs) = self.sessions[idx].as_ref() else {
             return;
         };
-        let (home, pid, own, pages) = (s.home, s.pid, s.own, s.pages.len() as u32);
-        if s.migrated || !s.own_created || pages == 0 {
+        let (home, pid, own, pages) = (fs.home, fs.s.pid, fs.s.own, fs.pages.len() as u32);
+        if fs.migrated || !fs.own_created || pages == 0 {
             return;
         }
         let m = &mut self.ms[owner];
@@ -964,7 +934,7 @@ impl<D: Design> Fleet<D> {
         // Free the member machine's copy.
         let m = &mut self.ms[owner];
         let deleted = if owner == home {
-            let own = self.sessions[idx].as_mut().and_then(|s| s.own.take());
+            let own = self.sessions[idx].as_mut().and_then(|fs| fs.s.own.take());
             own.map(|_| {
                 let dir = m.dirs[&shard];
                 m.sys
@@ -987,47 +957,17 @@ impl<D: Design> Fleet<D> {
 
     /// Runs an action on the session's home machine itself.
     fn exec_local(&mut self, idx: usize, shard: usize, action: &Action) -> String {
-        let s = self.sessions[idx].as_mut().expect("live session");
-        let m = &mut self.ms[s.home];
-        let sys = &mut m.sys;
-        match *action {
-            Action::Link(sym) => labelled::<D, _>("l", sys.link(s.pid, &mut s.env, &symbol(sym))),
-            Action::Resolve(target) => {
-                let got = sys.resolve(s.pid, &mut s.env, &target.name());
-                labelled::<D, _>("n", got.map(|()| "ok"))
-            }
-            Action::Grow { page, val } => {
-                if s.own.is_none() {
-                    let Some(&dir) = m.dirs.get(&shard) else {
-                        return "w:err".to_string();
-                    };
-                    match create_file(sys, s.pid, dir, &shard_name(shard), idx) {
-                        Ok(segno) => s.own = Some(segno),
-                        Err(e) => return format!("w:{}", D::label(&e)),
-                    }
-                }
-                let segno = s.own.expect("just created");
-                s.own_created = true;
-                let got = sys.write(s.pid, segno, page * PW, Word::new(val));
-                labelled::<D, _>("w", got.map(|()| "ok"))
-            }
-            Action::ReadOwn { page } => match s.own {
-                Some(segno) => {
-                    labelled::<D, _>("r", sys.read(s.pid, segno, page * PW).map(|w| w.raw()))
-                }
-                None => "r:err".to_string(),
-            },
-            Action::ReadShared { page } => {
-                if s.shared_segno.is_none() {
-                    match sys.initiate_path(s.pid, &mut s.env, "shared") {
-                        Ok(segno) => s.shared_segno = Some(segno),
-                        Err(e) => return format!("r:{}", D::label(&e)),
-                    }
-                }
-                let segno = s.shared_segno.expect("just initiated");
-                labelled::<D, _>("r", sys.read(s.pid, segno, page * PW).map(|w| w.raw()))
-            }
+        let fs = self.sessions[idx].as_mut().expect("live session");
+        let m = &mut self.ms[fs.home];
+        let dir = m.dirs.get(&shard).copied();
+        // No salvager runs in a fleet, so the only op held back is a
+        // read of a file the session does not have.
+        let label = session_op(&mut m.sys, &mut fs.s, idx, shard, dir, action)
+            .unwrap_or_else(|| "r:err".to_string());
+        if matches!(action, Action::Grow { .. }) && fs.s.own.is_some() {
+            fs.own_created = true;
         }
+        label
     }
 }
 
@@ -1063,8 +1003,8 @@ impl<D: Design> Harness for Fleet<D> {
     }
 
     fn exec(&mut self, idx: usize, shard: usize, action: &Action) -> String {
-        let s = self.sessions[idx].as_ref().expect("live session");
-        let (home, pid, migrated) = (s.home, s.pid, s.migrated);
+        let fs = self.sessions[idx].as_ref().expect("live session");
+        let (home, pid, migrated) = (fs.home, fs.s.pid, fs.migrated);
         self.last_active = home;
         let machines = self.spec.machines;
         // Where the op runs: the store holds the library, the shared
@@ -1127,9 +1067,9 @@ impl<D: Design> Harness for Fleet<D> {
     }
 
     fn finish(&mut self, idx: usize, shard: usize, abandon: bool) -> String {
-        let s = self.sessions[idx].as_ref().expect("live session");
+        let fs = self.sessions[idx].as_ref().expect("live session");
         let (home, pid, migrated, own_created, own) =
-            (s.home, s.pid, s.migrated, s.own_created, s.own);
+            (fs.home, fs.s.pid, fs.migrated, fs.own_created, fs.s.own);
         self.last_active = home;
         let mut label = if abandon { "reap" } else { "out" }.to_string();
         if !abandon && own_created {
@@ -1142,16 +1082,12 @@ impl<D: Design> Harness for Fleet<D> {
                 if own.is_some() {
                     let m = &mut self.ms[home];
                     let dir = m.dirs[&shard];
-                    match m
-                        .sys
-                        .delete_file(pid, dir, &shard_name(shard), &file_name(idx))
+                    let name = file_name(idx);
+                    if m.sys
+                        .delete_file(pid, dir, &shard_name(shard), &name)
+                        .is_err()
                     {
-                        Ok(()) => {
-                            if let Some(s) = self.sessions[idx].as_mut() {
-                                s.own = None;
-                            }
-                        }
-                        Err(_) => label = "out:err".to_string(),
+                        label = "out:err".to_string();
                     }
                 }
             } else {
@@ -1200,9 +1136,7 @@ fn run_fleet<D: Design>(
     );
     let scripts = spec.base().scripts();
     let mut fleet = setup_fleet::<D>(spec, wire_policy);
-    let mut st = EngineState::new();
-    storm(&mut fleet, &scripts, &mut st);
-    drive_until(&mut fleet, &scripts, &mut st, None);
+    let st = drive(&mut fleet, &scripts);
     fleet.pump();
 
     let per_machine_cycles: Vec<u64> = fleet

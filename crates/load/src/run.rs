@@ -9,7 +9,7 @@
 //! execute the byte-identical logical stream through the same code,
 //! which is what makes the user-visible parity assertion meaningful.
 
-use crate::design::{gate_retry, Design, Shape, Step};
+use crate::design::{gate_retry, Design, Res, Shape, Step};
 use crate::hist::Histogram;
 use crate::script::{session_script, SessionOp, SessionScript, LIB_SYMBOLS, SHARED_PAGES};
 use mx_explore::oracle;
@@ -57,10 +57,8 @@ impl LoadSpec {
     /// A tight-storage spec (the differential-fuzz shape).
     pub fn tight(sessions: usize, seed: u64) -> Self {
         Self {
-            sessions,
-            seed,
             tight_storage: true,
-            headroom: false,
+            ..Self::new(sessions, seed)
         }
     }
 
@@ -70,10 +68,8 @@ impl LoadSpec {
     /// several epochs of recovery traffic.
     pub fn continuous(sessions: usize, seed: u64) -> Self {
         Self {
-            sessions,
-            seed,
-            tight_storage: true,
             headroom: true,
+            ..Self::tight(sessions, seed)
         }
     }
 
@@ -208,23 +204,29 @@ impl LoadRun {
         let mut out = Vec::new();
         out.extend(kernel.violations.iter().map(|v| format!("kernel: {v}")));
         out.extend(legacy.violations.iter().map(|v| format!("legacy: {v}")));
-        if kernel.parity.len() != legacy.parity.len() {
-            out.push(format!(
-                "parity: kernel emitted {} labels, legacy {}",
-                kernel.parity.len(),
-                legacy.parity.len()
-            ));
-        }
-        for (i, (k, l)) in kernel.parity.iter().zip(legacy.parity.iter()).enumerate() {
-            if k != l {
-                out.push(format!(
-                    "parity: label {i} differs — kernel '{k}', legacy '{l}'"
-                ));
-                break;
-            }
-        }
+        let (k, l) = (&kernel.parity, &legacy.parity);
+        out.extend(parity_gaps("kernel", k, "legacy", l));
         out
     }
+}
+
+/// Label-stream parity between runs `an` and `bn`: a length mismatch,
+/// and the first label that differs.
+pub(crate) fn parity_gaps(an: &str, a: &[String], bn: &str, b: &[String]) -> Vec<String> {
+    let mut out = Vec::new();
+    if a.len() != b.len() {
+        out.push(format!(
+            "parity: {an} emitted {} labels, {bn} {}",
+            a.len(),
+            b.len()
+        ));
+    }
+    if let Some((i, (x, y))) = a.iter().zip(b).enumerate().find(|(_, (x, y))| x != y) {
+        out.push(format!(
+            "parity: label {i} differs — {an} '{x}', {bn} '{y}'"
+        ));
+    }
+    out
 }
 
 // --------------------------------------------------------- the engine --
@@ -285,6 +287,7 @@ pub(crate) trait Harness {
     fn salvage_tick(&mut self) {}
 }
 
+#[derive(Default)]
 pub(crate) struct Live {
     pub(crate) idx: usize,
     pub(crate) op_ix: usize,
@@ -295,20 +298,11 @@ pub(crate) struct Live {
     pub(crate) grown_vals: Vec<u64>,
 }
 
-impl Live {
-    fn fresh(idx: usize) -> Self {
-        Self {
-            idx,
-            op_ix: 0,
-            grown_vals: Vec::new(),
-        }
-    }
-}
-
 /// The engine's whole position in the logical stream. Persisting this
 /// across a crash/recover boundary — while the driver underneath is torn
 /// down and rebuilt — is what lets a segmented run execute the same
 /// logical stream as an uninterrupted one.
+#[derive(Default)]
 pub(crate) struct EngineState {
     pub(crate) live: Vec<Live>,
     pub(crate) cursor: usize,
@@ -326,21 +320,6 @@ pub(crate) struct EngineState {
 }
 
 impl EngineState {
-    pub(crate) fn new() -> Self {
-        Self {
-            live: Vec::new(),
-            cursor: 0,
-            finished: 0,
-            ops: 0,
-            queued_peak: 0,
-            abandoned: 0,
-            parity: Vec::new(),
-            hist: Histogram::new(),
-            admitted_order: Vec::new(),
-            user_samples: Vec::new(),
-        }
-    }
-
     /// Records one latency sample for session `idx` (and the histogram).
     fn sample(&mut self, idx: usize, delta: u64) {
         self.hist.record(delta);
@@ -355,7 +334,10 @@ impl EngineState {
 pub(crate) fn storm<H: Harness>(d: &mut H, scripts: &[SessionScript], st: &mut EngineState) {
     for idx in 0..scripts.len() {
         if d.request(idx) {
-            st.live.push(Live::fresh(idx));
+            st.live.push(Live {
+                idx,
+                ..Live::default()
+            });
         }
         st.queued_peak = st.queued_peak.max(d.queued());
     }
@@ -442,10 +424,22 @@ pub(crate) fn drive_until<H: Harness>(
             // The freed slot goes to the head of the admission queue.
             for idx in d.admit() {
                 st.admitted_order.push(idx);
-                st.live.push(Live::fresh(idx));
+                st.live.push(Live {
+                    idx,
+                    ..Live::default()
+                });
             }
         }
     }
+}
+
+/// The whole stream: the login storm, then the engine until the live
+/// set drains.
+pub(crate) fn drive<H: Harness>(d: &mut H, scripts: &[SessionScript]) -> EngineState {
+    let mut st = EngineState::default();
+    storm(d, scripts, &mut st);
+    drive_until(d, scripts, &mut st, None);
+    st
 }
 
 // ----------------------------------------------------- shared fixtures --
@@ -482,67 +476,69 @@ pub(crate) fn shard_name(j: usize) -> String {
     format!("s{j}")
 }
 
-/// Finds (unless `fresh`) or creates root segment `name`.
-fn fixture<D: Design>(
-    sys: &mut D,
-    probe: &mut SalvageProbe,
-    drv: D::Pid,
-    name: &str,
-    fresh: bool,
-) -> Result<D::Dir, String> {
-    if !fresh {
-        if let Ok(obj) = gate_retry(sys, probe, &format!("{name} search"), |d| {
-            d.search(drv, name)
-        }) {
-            return Ok(obj);
+/// A machine its driver account is building — or, after a crash,
+/// reconciling against a salvager that may still be running: every
+/// gate call retries through `SalvageBusy`, stepping the salvager on
+/// `probe`.
+pub(crate) struct Build<'a, D: Design> {
+    pub(crate) sys: &'a mut D,
+    pub(crate) probe: &'a mut SalvageProbe,
+    pub(crate) drv: D::Pid,
+}
+
+impl<D: Design> Build<'_, D> {
+    pub(crate) fn retry<T>(
+        &mut self,
+        what: &str,
+        f: impl FnMut(&mut D) -> Res<D, T>,
+    ) -> Result<T, String> {
+        gate_retry(self.sys, self.probe, what, f)
+    }
+
+    /// Finds (unless `fresh`) or creates root segment `name`.
+    fn fixture(&mut self, name: &str, fresh: bool) -> Result<D::Dir, String> {
+        let drv = self.drv;
+        if !fresh {
+            if let Ok(obj) = self.retry(&format!("{name} search"), |d| d.search(drv, name)) {
+                return Ok(obj);
+            }
         }
+        self.retry(&format!("{name} recreate"), |d| d.create(drv, name, false))
     }
-    gate_retry(sys, probe, &format!("{name} recreate"), |d| {
-        d.create_seg(drv, name)
-    })
-}
 
-/// The shared fixtures every session reaches: the library with its
-/// definitions published, and the read-mostly shared segment with every
-/// page written. A fresh world creates both; a recovering one keeps
-/// what survived on disk, recreates what the crash cost, and publishes
-/// and rewrites either way (cheap, idempotent, and repairs a torn page).
-/// Returns the driver's segment number for the shared segment.
-pub(crate) fn publish_fixtures<D: Design>(
-    sys: &mut D,
-    probe: &mut SalvageProbe,
-    drv: D::Pid,
-    fresh: bool,
-) -> Result<u32, String> {
-    let lib = fixture(sys, probe, drv, "lib", fresh)?;
-    sys.publish_lib(probe, drv, lib)?;
-    let shared = fixture(sys, probe, drv, "shared", fresh)?;
-    let segno = gate_retry(sys, probe, "shared initiate", |d| {
-        d.initiate(drv, shared, "shared")
-    })?;
-    for page in 0..SHARED_PAGES {
-        gate_retry(sys, probe, &format!("shared page {page}"), |d| {
-            d.write(drv, segno, page * PW, Word::new(shared_word(page)))
+    /// The shared fixtures every session reaches: the library with its
+    /// definitions published, and the read-mostly shared segment with
+    /// every page written. A fresh world creates both; a recovering one
+    /// keeps what survived on disk, recreates what the crash cost, and
+    /// publishes and rewrites either way (cheap, idempotent, and repairs
+    /// a torn page). Returns the driver's segment number for the shared
+    /// segment.
+    pub(crate) fn fixtures(&mut self, fresh: bool) -> Result<u32, String> {
+        let drv = self.drv;
+        let lib = self.fixture("lib", fresh)?;
+        self.sys.publish_lib(self.probe, drv, lib)?;
+        let shared = self.fixture("shared", fresh)?;
+        let segno = self.retry("shared initiate", |d| d.initiate(drv, shared, "shared"))?;
+        for page in 0..SHARED_PAGES {
+            let w = Word::new(shared_word(page));
+            self.retry(&format!("shared page {page}"), |d| {
+                d.write(drv, segno, page * PW, w)
+            })?;
+        }
+        Ok(segno)
+    }
+
+    /// Creates quota-capped root directory `name`.
+    pub(crate) fn dir(&mut self, name: &str, quota: u32) -> Result<D::Dir, String> {
+        let drv = self.drv;
+        let dir = self.retry(&format!("shard {name} recreate"), |d| {
+            d.create(drv, name, true)
         })?;
+        self.retry(&format!("shard {name} quota"), |d| {
+            d.set_quota(drv, dir, name, quota)
+        })?;
+        Ok(dir)
     }
-    Ok(segno)
-}
-
-/// Creates quota-capped root directory `name`.
-pub(crate) fn make_dir<D: Design>(
-    sys: &mut D,
-    probe: &mut SalvageProbe,
-    drv: D::Pid,
-    name: &str,
-    quota: u32,
-) -> Result<D::Dir, String> {
-    let dir = gate_retry(sys, probe, &format!("shard {name} recreate"), |d| {
-        d.create_dir(drv, name)
-    })?;
-    gate_retry(sys, probe, &format!("shard {name} quota"), |d| {
-        d.set_quota(drv, dir, name, quota)
-    })?;
-    Ok(dir)
 }
 
 /// Creates and initiates session `idx`'s own file in directory
@@ -553,7 +549,7 @@ pub(crate) fn create_file<D: Design>(
     dir: D::Dir,
     dir_name: &str,
     idx: usize,
-) -> Result<u32, D::Error> {
+) -> Res<D, u32> {
     let dir = sys.file_dir(pid, dir, dir_name)?;
     sys.create_in(pid, dir, dir_name, &file_name(idx))
 }
@@ -701,6 +697,17 @@ pub(crate) struct Session<D: Design> {
     pub(crate) shared_segno: Option<u32>,
 }
 
+impl<D: Design> Session<D> {
+    pub(crate) fn new(pid: D::Pid, env: D::Env) -> Self {
+        Self {
+            pid,
+            env,
+            own: None,
+            shared_segno: None,
+        }
+    }
+}
+
 /// Per-shard recovery work parked behind the online salvager's
 /// quarantine: the wipe of the previous population's files and the
 /// replay of surviving sessions' file contents wait until the shard
@@ -737,12 +744,7 @@ pub(crate) struct WorldCtx<P> {
 impl<D: Design> Driver<D> {
     pub(crate) fn open(&mut self, idx: usize, pid: D::Pid) {
         let env = self.sys.open_env(pid);
-        self.sessions[idx] = Some(Session {
-            pid,
-            env,
-            own: None,
-            shared_segno: None,
-        });
+        self.sessions[idx] = Some(Session::new(pid, env));
     }
 
     /// One salvager step (with the release battery) if a salvage is in
@@ -815,7 +817,8 @@ impl<D: Design> Driver<D> {
                 // cost us the shard directory itself: recreate and
                 // re-cap it. A directory created through the gates is
                 // born released, so the work below proceeds.
-                let dir = make_dir(&mut self.sys, &mut self.salvage, drv, &name, quota)?;
+                let (sys, probe) = (&mut self.sys, &mut self.salvage);
+                let dir = Build { sys, probe, drv }.dir(&name, quota)?;
                 self.dirs[shard] = dir;
                 Ok(Some(dir))
             }
@@ -877,83 +880,31 @@ impl<D: Design> Driver<D> {
         }
     }
 
-    /// One attempt at an action. `None` means a `SalvageBusy` barrier
-    /// was hit: the caller steps the salvager and retries. Every arm is
-    /// retry-idempotent — partial effects (a created file, a cleared
-    /// `own`) are recorded on the session before the barrier can fire.
     fn exec_once(&mut self, idx: usize, shard: usize, action: &Action) -> Option<String> {
-        let dir = self.dirs[shard];
         let s = self.sessions[idx].as_mut().expect("live session");
-        let sys = &mut self.sys;
-        Some(match *action {
-            Action::Link(sym) => {
-                return barred::<D, _>("l", sys.link(s.pid, &mut s.env, &symbol(sym)))
-            }
-            Action::Resolve(target) => {
-                let got = sys.resolve(s.pid, &mut s.env, &target.name());
-                return barred::<D, _>("n", got.map(|()| "ok"));
-            }
-            Action::Grow { page, val } => {
-                if s.own.is_none() {
-                    match create_file(sys, s.pid, dir, &shard_name(shard), idx) {
-                        Ok(segno) => s.own = Some(segno),
-                        Err(e) if D::is_busy(&e) => return None,
-                        Err(e) => return Some(format!("w:{}", D::label(&e))),
-                    }
-                }
-                let segno = s.own.expect("just created");
-                let got = sys.write(s.pid, segno, page * PW, Word::new(val));
-                labelled::<D, _>("w", got.map(|()| "ok"))
-            }
-            Action::ReadOwn { page } => {
-                // A survivor whose file restoration is still deferred
-                // behind a quarantined shard has grown pages but no
-                // segment yet: the op is blocked until the shard's
-                // release replays the file.
-                let segno = s.own?;
-                labelled::<D, _>("r", sys.read(s.pid, segno, page * PW).map(|w| w.raw()))
-            }
-            Action::ReadShared { page } => {
-                if s.shared_segno.is_none() {
-                    match sys.initiate_path(s.pid, &mut s.env, "shared") {
-                        Ok(segno) => s.shared_segno = Some(segno),
-                        Err(e) if D::is_busy(&e) => return None,
-                        Err(e) => return Some(format!("r:{}", D::label(&e))),
-                    }
-                }
-                let segno = s.shared_segno.expect("just initiated");
-                labelled::<D, _>("r", sys.read(s.pid, segno, page * PW).map(|w| w.raw()))
-            }
-        })
+        session_op(&mut self.sys, s, idx, shard, Some(self.dirs[shard]), action)
     }
 
     /// One attempt at ending a session; `None` = blocked on a barrier.
     /// The file delete clears `own` on success so a retry that blocks
     /// later (at logout) never re-deletes.
     fn finish_once(&mut self, idx: usize, shard: usize, abandon: bool) -> Option<String> {
-        let (pid, own) = {
-            let s = self.sessions[idx].as_ref().expect("live session");
-            (s.pid, s.own)
-        };
+        let s = self.sessions[idx].as_mut().expect("live session");
         let mut label = if abandon { "reap" } else { "out" }.to_string();
-        if !abandon && own.is_some() {
+        if !abandon && s.own.is_some() {
             let dir = self.dirs[shard];
             match self
                 .sys
-                .delete_file(pid, dir, &shard_name(shard), &file_name(idx))
+                .delete_file(s.pid, dir, &shard_name(shard), &file_name(idx))
             {
-                Ok(()) => {
-                    if let Some(s) = self.sessions[idx].as_mut() {
-                        s.own = None;
-                    }
-                }
+                Ok(()) => s.own = None,
                 Err(e) if D::is_busy(&e) => return None,
                 Err(_) => label = "out:err".to_string(),
             }
         }
         // Abandoned sessions are reaped by the service — same logout
         // residue, nobody at the terminal.
-        match self.sys.logout(&mut self.front, &account_name(idx), pid) {
+        match self.sys.logout(&mut self.front, &account_name(idx), s.pid) {
             Ok(()) => {}
             Err(e) if D::is_busy(&e) => return None,
             Err(_) => label = format!("{label}:err"),
@@ -963,12 +914,67 @@ impl<D: Design> Driver<D> {
     }
 }
 
+/// One attempt at `action` by session `idx` on its own machine, whose
+/// shard directory is `dir`. `None` means a `SalvageBusy` barrier was
+/// hit: the caller steps the salvager and retries. Every arm is
+/// retry-idempotent — partial effects (a created file) are recorded on
+/// the session before the barrier can fire.
+pub(crate) fn session_op<D: Design>(
+    sys: &mut D,
+    s: &mut Session<D>,
+    idx: usize,
+    shard: usize,
+    dir: Option<D::Dir>,
+    action: &Action,
+) -> Option<String> {
+    Some(match *action {
+        Action::Link(sym) => return barred::<D, _>("l", sys.link(s.pid, &mut s.env, &symbol(sym))),
+        Action::Resolve(target) => {
+            let got = sys.resolve(s.pid, &mut s.env, &target.name());
+            return barred::<D, _>("n", got.map(|()| "ok"));
+        }
+        Action::Grow { page, val } => {
+            if s.own.is_none() {
+                // A fleet session whose shard lives on another machine
+                // has no directory here.
+                let Some(dir) = dir else {
+                    return Some("w:err".to_string());
+                };
+                match create_file(sys, s.pid, dir, &shard_name(shard), idx) {
+                    Ok(segno) => s.own = Some(segno),
+                    Err(e) if D::is_busy(&e) => return None,
+                    Err(e) => return Some(format!("w:{}", D::label(&e))),
+                }
+            }
+            let segno = s.own.expect("just created");
+            let got = sys.write(s.pid, segno, page * PW, Word::new(val));
+            labelled::<D, _>("w", got.map(|()| "ok"))
+        }
+        Action::ReadOwn { page } => {
+            // A survivor whose file restoration is still deferred
+            // behind a quarantined shard has grown pages but no
+            // segment yet: the op is blocked until the shard's
+            // release replays the file.
+            let segno = s.own?;
+            labelled::<D, _>("r", sys.read(s.pid, segno, page * PW).map(|w| w.raw()))
+        }
+        Action::ReadShared { page } => {
+            if s.shared_segno.is_none() {
+                match sys.initiate_path(s.pid, &mut s.env, "shared") {
+                    Ok(segno) => s.shared_segno = Some(segno),
+                    Err(e) if D::is_busy(&e) => return None,
+                    Err(e) => return Some(format!("r:{}", D::label(&e))),
+                }
+            }
+            let segno = s.shared_segno.expect("just initiated");
+            labelled::<D, _>("r", sys.read(s.pid, segno, page * PW).map(|w| w.raw()))
+        }
+    })
+}
+
 /// The user-visible label of an op's outcome: `prefix:value` (`ok` for
 /// ops without one) or `prefix:` the error's outcome class.
-pub(crate) fn labelled<D: Design, T: std::fmt::Display>(
-    prefix: &str,
-    got: Result<T, D::Error>,
-) -> String {
+pub(crate) fn labelled<D: Design, T: std::fmt::Display>(prefix: &str, got: Res<D, T>) -> String {
     match got {
         Ok(v) => format!("{prefix}:{v}"),
         Err(e) => format!("{prefix}:{}", D::label(&e)),
@@ -977,10 +983,7 @@ pub(crate) fn labelled<D: Design, T: std::fmt::Display>(
 
 /// [`labelled`] for an op a `SalvageBusy` barrier holds back: `None`
 /// while barred.
-fn barred<D: Design, T: std::fmt::Display>(
-    prefix: &str,
-    got: Result<T, D::Error>,
-) -> Option<String> {
+fn barred<D: Design, T: std::fmt::Display>(prefix: &str, got: Res<D, T>) -> Option<String> {
     match got {
         Err(e) if D::is_busy(&e) => None,
         got => Some(labelled::<D, T>(prefix, got)),
@@ -1082,30 +1085,37 @@ impl<D: Design> Harness for Driver<D> {
 
 // ------------------------------------------------------------ run fns --
 
+/// Boots a machine, attaches the extra pack `(records, toc_slots)` if
+/// any, and logs the driver account in.
+pub(crate) fn boot_with_driver<D: Design>(
+    shape: &Shape,
+    pack: Option<(u32, u32)>,
+) -> (D, D::Front, D::Pid) {
+    let mut sys = D::boot(shape);
+    if let Some((records, toc_slots)) = pack {
+        sys.machine_mut().disks.attach(records, toc_slots);
+    }
+    let mut front = D::Front::default();
+    sys.register(&mut front, "drv");
+    let drv = sys.login(&mut front, "drv").expect("driver login");
+    (sys, front, drv)
+}
+
 /// Builds the world a load run executes against: overflow pack, driver
 /// account and login, published library, shared segment, quota shards,
 /// and one registered account per scripted session.
 pub(crate) fn setup<D: Design>(spec: &LoadSpec) -> (Driver<D>, WorldCtx<D::Pid>) {
-    let mut sys = D::boot(&spec.shape());
-    if let Some((records, toc_slots)) = spec.overflow_pack() {
-        sys.machine_mut().disks.attach(records, toc_slots);
-    }
-    let mut front = D::new_front();
-    sys.register(&mut front, "drv");
-    let drv = sys.login(&mut front, "drv").expect("driver login");
+    let (mut sys, mut front, drv) = boot_with_driver::<D>(&spec.shape(), spec.overflow_pack());
     let mut probe = SalvageProbe::default();
-    let shared_segno = publish_fixtures(&mut sys, &mut probe, drv, true).expect("shared fixtures");
+    let mut b = Build {
+        sys: &mut sys,
+        probe: &mut probe,
+        drv,
+    };
+    let shared_segno = b.fixtures(true).expect("shared fixtures");
+    let quota = spec.shard_quota();
     let dirs = (0..spec.shards())
-        .map(|j| {
-            make_dir(
-                &mut sys,
-                &mut probe,
-                drv,
-                &shard_name(j),
-                spec.shard_quota(),
-            )
-            .expect("shard dir")
-        })
+        .map(|j| b.dir(&shard_name(j), quota).expect("shard dir"))
         .collect();
     for idx in 0..spec.sessions {
         sys.register(&mut front, &account_name(idx));
@@ -1142,9 +1152,7 @@ pub(crate) fn run_load<D: Design>(
     let edge_base = m.clock.edge_snapshot();
     d.sys.set_policy(policy);
 
-    let mut st = EngineState::new();
-    storm(&mut d, scripts, &mut st);
-    drive_until(&mut d, scripts, &mut st, None);
+    let mut st = drive(&mut d, scripts);
 
     let m = d.sys.machine();
     let per_cpu_ops = m
@@ -1154,6 +1162,7 @@ pub(crate) fn run_load<D: Design>(
         .map(|(now, base)| now - base)
         .collect();
     st.user_samples.resize_with(spec.sessions, Vec::new);
+    let (queue_delay, event_queue_hwm) = d.sys.queue_probes();
     LoadRun {
         design: D::NAME,
         cycles: m.clock.now() - setup_cycles,
@@ -1165,8 +1174,8 @@ pub(crate) fn run_load<D: Design>(
         parity: st.parity,
         hist: st.hist,
         per_cpu_ops,
-        queue_delay: d.sys.queue_delay(),
-        event_queue_hwm: d.sys.queue_hwm(),
+        queue_delay,
+        event_queue_hwm,
         meter: meter_base.delta(&m.clock.meter_snapshot()),
         edges: edge_base.delta(m.clock.edge_set()),
         violations: d.sys.oracle(),
@@ -1190,6 +1199,7 @@ pub fn run_legacy_load(spec: &LoadSpec) -> LoadRun {
 pub fn run_both(spec: &LoadSpec) -> (LoadRun, LoadRun) {
     (run_kernel_load(spec, None), run_legacy_load(spec))
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -79,13 +79,21 @@ struct PendingLogin {
 }
 
 /// The user-domain answering service.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct AnsweringService {
     records: HashMap<String, AccountRecord>,
     sessions: Vec<Session>,
     pending: VecDeque<PendingLogin>,
     /// Lockout threshold (a policy the kernel never needs to know).
     pub max_attempts: u32,
+}
+
+/// The default service is [`AnsweringService::new`]'s: a derived default
+/// would set a lockout threshold of zero and refuse every login.
+impl Default for AnsweringService {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl AnsweringService {
