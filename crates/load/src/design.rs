@@ -25,13 +25,15 @@ use mx_kernel::{
 use mx_legacy::network::{NetworkId, NetworkKind};
 use mx_legacy::{
     AccessRight, Acl as LAcl, LegacyError, LegacyOnlineCheat, LegacyOnlineProgress,
-    ProcessId as LProcessId, SegUid, Supervisor, SupervisorConfig, UserId as LUserId,
+    ProcessId as LPid, SegUid, Supervisor, SupervisorConfig, UserId as LUserId,
 };
 use mx_sync::SchedulePolicy;
 use mx_user::{publish_library, Admission, AnsweringService, NameSpace, UserLinker};
 
 use crate::epoch::C1Policy;
-use crate::run::{account_index, account_name, definitions, SalvageProbe, SALVAGE_RETRY_BUDGET};
+use crate::run::{
+    account_index, account_name, definitions, Build, SalvageProbe, SALVAGE_RETRY_BUDGET,
+};
 
 /// A design's own result type.
 pub(crate) type Res<D, T = ()> = Result<T, <D as Design>::Error>;
@@ -81,6 +83,19 @@ pub(crate) struct Salvaged {
     pub(crate) found: String,
 }
 
+impl Salvaged {
+    fn of<P: Debug>(problems: &[P], repairs: usize, clean: bool) -> Self {
+        let found = format!("{problems:?}");
+        let problems = problems.len();
+        Self {
+            problems,
+            repairs,
+            clean,
+            found,
+        }
+    }
+}
+
 /// What one pass over the admission queue did, by session index.
 pub(crate) struct Admit<D: Design> {
     pub(crate) admitted: Vec<(usize, D::Pid)>,
@@ -117,9 +132,9 @@ pub(crate) trait Design: Sized {
     type Net: Copy;
 
     // The machine.
-    fn boot(shape: &Shape) -> Self;
-    /// Recovery bootload from a crash image.
-    fn boot_image(shape: &Shape, image: DiskSystem) -> Result<Self, String>;
+    /// Boots a fresh machine, or (with `image`) a recovery bootload from
+    /// a crash image.
+    fn boot(shape: &Shape, image: Option<DiskSystem>) -> Result<Self, String>;
     fn machine(&self) -> &Machine;
     fn machine_mut(&mut self) -> &mut Machine;
     /// The oracle battery: meter conservation, per-pack record
@@ -174,8 +189,7 @@ pub(crate) trait Design: Sized {
     fn search(&mut self, drv: Self::Pid, name: &str) -> Res<Self, Self::Dir>;
     /// Looks shard directory `name` up while reconciling against a
     /// possibly running salvager; `None` = the crash cost the entry.
-    fn find_shard(&mut self, p: &mut SalvageProbe, drv: Self::Pid, name: &str)
-        -> Option<Self::Dir>;
+    fn find_shard(b: &mut Build<'_, Self>, name: &str) -> Option<Self::Dir>;
     /// Creates segment (or, with `dir`, directory) `name` in the root.
     fn create(&mut self, drv: Self::Pid, name: &str, dir: bool) -> Res<Self, Self::Dir>;
     fn set_quota(&mut self, drv: Self::Pid, dir: Self::Dir, name: &str, quota: u32) -> Res<Self>;
@@ -185,32 +199,17 @@ pub(crate) trait Design: Sized {
     /// The directory a session's file is created in, as the session
     /// reaches it.
     fn file_dir(&mut self, pid: Self::Pid, dir: Self::Dir, name: &str) -> Res<Self, Self::Dir>;
-    /// Creates and initiates file `name` in directory `dir_name`.
-    fn create_in(
-        &mut self,
-        pid: Self::Pid,
-        dir: Self::Dir,
-        dir_name: &str,
-        name: &str,
-    ) -> Res<Self, u32>;
-    fn delete_file(
-        &mut self,
-        pid: Self::Pid,
-        dir: Self::Dir,
-        dir_name: &str,
-        name: &str,
-    ) -> Res<Self>;
+    /// Creates and initiates file `name` in directory `dir`, which is
+    /// root entry `at`.
+    fn create_in(&mut self, pid: Self::Pid, dir: Self::Dir, at: &str, name: &str)
+        -> Res<Self, u32>;
+    fn delete_file(&mut self, pid: Self::Pid, dir: Self::Dir, at: &str, name: &str) -> Res<Self>;
     /// Initiates root entry `name`, held as `obj`.
     fn initiate(&mut self, pid: Self::Pid, obj: Self::Dir, name: &str) -> Res<Self, u32>;
     /// Initiates root entry `name` through the session's name space.
     fn initiate_path(&mut self, pid: Self::Pid, env: &mut Self::Env, name: &str) -> Res<Self, u32>;
     /// Publishes the library's definitions in segment `lib`.
-    fn publish_lib(
-        &mut self,
-        p: &mut SalvageProbe,
-        drv: Self::Pid,
-        lib: Self::Dir,
-    ) -> Result<(), String>;
+    fn publish_lib(b: &mut Build<'_, Self>, lib: Self::Dir) -> Result<(), String>;
 
     // User operations.
     /// Snaps a link to `sym` in the library; the snapped offset.
@@ -297,12 +296,12 @@ impl Design for Kernel {
     type Dir = ObjToken;
     type Net = StreamId;
 
-    fn boot(shape: &Shape) -> Self {
-        Kernel::boot(kernel_config(shape))
-    }
-
-    fn boot_image(shape: &Shape, image: DiskSystem) -> Result<Self, String> {
-        Kernel::boot_from_image(kernel_config(shape), image).map_err(|e| format!("{e:?}"))
+    fn boot(shape: &Shape, image: Option<DiskSystem>) -> Result<Self, String> {
+        let config = kernel_config(shape);
+        match image {
+            None => Ok(Kernel::boot(config)),
+            Some(image) => Kernel::boot_from_image(config, image).map_err(|e| format!("{e:?}")),
+        }
     }
 
     fn machine(&self) -> &Machine {
@@ -388,15 +387,13 @@ impl Design for Kernel {
     }
 
     fn admit_pass(&mut self, svc: &mut AnsweringService) -> Admit<Self> {
+        fn by_index<T>((name, x): (String, T)) -> (usize, T) {
+            (account_index(&name), x)
+        }
         let pass = svc.admit_waiting(self);
-        let idx = |name: String| account_index(&name);
         Admit {
-            admitted: pass
-                .admitted
-                .into_iter()
-                .map(|(n, p)| (idx(n), p))
-                .collect(),
-            refused: pass.refused.into_iter().map(|(n, e)| (idx(n), e)).collect(),
+            admitted: pass.admitted.into_iter().map(by_index).collect(),
+            refused: pass.refused.into_iter().map(by_index).collect(),
             busy: pass.busy,
         }
     }
@@ -425,8 +422,9 @@ impl Design for Kernel {
     /// The search walks only the root, which the driver's re-login has
     /// already forced out of quarantine, so a surviving shard keeps its
     /// token even while the salvager still holds it.
-    fn find_shard(&mut self, p: &mut SalvageProbe, drv: ProcessId, name: &str) -> Option<ObjToken> {
-        gate_retry(self, p, "shard search", |k| k.search(drv, name)).ok()
+    fn find_shard(b: &mut Build<'_, Self>, name: &str) -> Option<ObjToken> {
+        let drv = b.drv;
+        b.retry("shard search", |k| k.search(drv, name)).ok()
     }
 
     fn create(&mut self, drv: ProcessId, name: &str, dir: bool) -> Res<Self, ObjToken> {
@@ -463,18 +461,12 @@ impl Design for Kernel {
         env.0.initiate(self, &format!(">{name}"))
     }
 
-    fn publish_lib(
-        &mut self,
-        p: &mut SalvageProbe,
-        drv: ProcessId,
-        lib: ObjToken,
-    ) -> Result<(), String> {
-        let segno = gate_retry(self, p, "lib initiate", |k| Kernel::initiate(k, drv, lib))?;
+    fn publish_lib(b: &mut Build<'_, Self>, lib: ObjToken) -> Result<(), String> {
+        let drv = b.drv;
+        let segno = b.retry("lib initiate", |k| Kernel::initiate(k, drv, lib))?;
         let defs = definitions();
         let refs = def_refs(&defs);
-        gate_retry(self, p, "lib publish", |k| {
-            publish_library(k, drv, segno, &refs)
-        })
+        b.retry("lib publish", |k| publish_library(k, drv, segno, &refs))
     }
 
     fn link(&mut self, _: ProcessId, env: &mut Self::Env, sym: &str) -> Res<Self, u32> {
@@ -499,12 +491,8 @@ impl Design for Kernel {
     }
 
     fn salvage(&mut self, repair: bool) -> Res<Self, Salvaged> {
-        Kernel::salvage(self, repair).map(|r| Salvaged {
-            problems: r.problems.len(),
-            repairs: r.repairs.len(),
-            clean: r.clean(),
-            found: format!("{:?}", r.problems),
-        })
+        let r = Kernel::salvage(self, repair)?;
+        Ok(Salvaged::of(&r.problems, r.repairs.len(), r.clean()))
     }
 
     fn begin_online(&mut self, release_early: bool) -> Result<(), String> {
@@ -589,26 +577,26 @@ fn supervisor_config(s: &Shape) -> SupervisorConfig {
     }
 }
 
-fn path(dir_name: &str, name: &str) -> String {
-    format!("{dir_name}>{name}")
+fn path(at: &str, name: &str) -> String {
+    format!("{at}>{name}")
 }
 
 impl Design for Supervisor {
     const NAME: &'static str = "legacy";
     const RESIDENT_STORE: bool = false;
     type Error = LegacyError;
-    type Pid = LProcessId;
+    type Pid = LPid;
     type Front = VecDeque<usize>;
     type Env = ();
     type Dir = Option<SegUid>;
     type Net = NetworkId;
 
-    fn boot(shape: &Shape) -> Self {
-        Supervisor::boot(supervisor_config(shape))
-    }
-
-    fn boot_image(shape: &Shape, image: DiskSystem) -> Result<Self, String> {
-        Supervisor::boot_from_image(supervisor_config(shape), image).map_err(|e| format!("{e:?}"))
+    fn boot(shape: &Shape, image: Option<DiskSystem>) -> Result<Self, String> {
+        let config = supervisor_config(shape);
+        match image {
+            None => Ok(Supervisor::boot(config)),
+            Some(image) => Supervisor::boot_from_image(config, image).map_err(|e| format!("{e:?}")),
+        }
     }
 
     fn machine(&self) -> &Machine {
@@ -663,13 +651,13 @@ impl Design for Supervisor {
         self.register_user(name, LUserId(1), "pw", Label::BOTTOM);
     }
 
-    fn login(&mut self, _: &mut VecDeque<usize>, name: &str) -> Res<Self, LProcessId> {
+    fn login(&mut self, _: &mut VecDeque<usize>, name: &str) -> Res<Self, LPid> {
         Supervisor::login(self, name, "pw", Label::BOTTOM)
     }
 
-    fn open_env(&mut self, _: LProcessId) {}
+    fn open_env(&mut self, _: LPid) {}
 
-    fn logout(&mut self, _: &mut VecDeque<usize>, name: &str, pid: LProcessId) -> Res<Self> {
+    fn logout(&mut self, _: &mut VecDeque<usize>, name: &str, pid: LPid) -> Res<Self> {
         Supervisor::logout(self, name, pid).map(|_| ())
     }
 
@@ -679,7 +667,7 @@ impl Design for Supervisor {
         &mut self,
         queue: &mut VecDeque<usize>,
         idx: usize,
-    ) -> Res<Self, Option<LProcessId>> {
+    ) -> Res<Self, Option<LPid>> {
         match Supervisor::login(self, &account_name(idx), "pw", Label::BOTTOM) {
             Ok(pid) => Ok(Some(pid)),
             Err(LegacyError::NoSuchProcess) => {
@@ -725,7 +713,7 @@ impl Design for Supervisor {
         queue.pop_back();
     }
 
-    fn search(&mut self, drv: LProcessId, name: &str) -> Res<Self, Self::Dir> {
+    fn search(&mut self, drv: LPid, name: &str) -> Res<Self, Self::Dir> {
         self.resolve(drv, name, AccessRight::Read)
             .map(|(uid, _)| Some(uid))
     }
@@ -733,20 +721,15 @@ impl Design for Supervisor {
     /// The old resolve walks *into* the target, so a surviving shard the
     /// salvager still holds answers `SalvageBusy` — which proves it
     /// exists. Only a genuine miss is an error.
-    fn find_shard(
-        &mut self,
-        _: &mut SalvageProbe,
-        drv: LProcessId,
-        name: &str,
-    ) -> Option<Self::Dir> {
-        match self.resolve(drv, name, AccessRight::Read) {
+    fn find_shard(b: &mut Build<'_, Self>, name: &str) -> Option<Self::Dir> {
+        match b.sys.resolve(b.drv, name, AccessRight::Read) {
             Ok((uid, _)) => Some(Some(uid)),
             Err(LegacyError::SalvageBusy) => Some(None),
             Err(_) => None,
         }
     }
 
-    fn create(&mut self, _: LProcessId, name: &str, dir: bool) -> Res<Self, Self::Dir> {
+    fn create(&mut self, _: LPid, name: &str, dir: bool) -> Res<Self, Self::Dir> {
         let (root, acl) = (self.root(), LAcl::owner(LUserId(1)));
         if dir {
             self.create_directory_in(root, name, acl, Label::BOTTOM)
@@ -756,45 +739,33 @@ impl Design for Supervisor {
         .map(Some)
     }
 
-    fn set_quota(&mut self, drv: LProcessId, _: Self::Dir, name: &str, quota: u32) -> Res<Self> {
+    fn set_quota(&mut self, drv: LPid, _: Self::Dir, name: &str, quota: u32) -> Res<Self> {
         self.set_quota_directory(drv, name, quota)
     }
 
-    fn open_dir(&mut self, drv: LProcessId, _: Self::Dir, name: &str) -> Res<Self, Self::Dir> {
+    fn open_dir(&mut self, drv: LPid, _: Self::Dir, name: &str) -> Res<Self, Self::Dir> {
         Design::search(self, drv, name)
     }
 
-    fn file_dir(&mut self, pid: LProcessId, _: Self::Dir, name: &str) -> Res<Self, Self::Dir> {
+    fn file_dir(&mut self, pid: LPid, _: Self::Dir, name: &str) -> Res<Self, Self::Dir> {
         Design::search(self, pid, name)
     }
 
-    fn create_in(
-        &mut self,
-        pid: LProcessId,
-        dir: Self::Dir,
-        dir_name: &str,
-        name: &str,
-    ) -> Res<Self, u32> {
+    fn create_in(&mut self, pid: LPid, dir: Self::Dir, at: &str, name: &str) -> Res<Self, u32> {
         let uid = dir.expect("a resolved or created directory");
         self.create_segment_in(uid, name, LAcl::owner(LUserId(1)), Label::BOTTOM)?;
-        Supervisor::initiate(self, pid, &path(dir_name, name))
+        Supervisor::initiate(self, pid, &path(at, name))
     }
 
-    fn delete_file(
-        &mut self,
-        pid: LProcessId,
-        _: Self::Dir,
-        dir_name: &str,
-        name: &str,
-    ) -> Res<Self> {
-        self.delete(pid, &path(dir_name, name))
+    fn delete_file(&mut self, pid: LPid, _: Self::Dir, at: &str, name: &str) -> Res<Self> {
+        self.delete(pid, &path(at, name))
     }
 
-    fn initiate(&mut self, pid: LProcessId, _: Self::Dir, name: &str) -> Res<Self, u32> {
+    fn initiate(&mut self, pid: LPid, _: Self::Dir, name: &str) -> Res<Self, u32> {
         Supervisor::initiate(self, pid, name)
     }
 
-    fn initiate_path(&mut self, pid: LProcessId, _: &mut (), name: &str) -> Res<Self, u32> {
+    fn initiate_path(&mut self, pid: LPid, _: &mut (), name: &str) -> Res<Self, u32> {
         Supervisor::initiate(self, pid, name)
     }
 
@@ -802,50 +773,39 @@ impl Design for Supervisor {
     /// must re-publish or links dangle. The kernel's published library
     /// occupies a page; writing one here allocates the matching record,
     /// so both designs start with identical storage.
-    fn publish_lib(
-        &mut self,
-        p: &mut SalvageProbe,
-        drv: LProcessId,
-        lib: Self::Dir,
-    ) -> Result<(), String> {
-        let defs = definitions();
+    fn publish_lib(b: &mut Build<'_, Self>, lib: Self::Dir) -> Result<(), String> {
+        let (drv, defs) = (b.drv, definitions());
         let refs = def_refs(&defs);
-        self.publish_definitions(lib.expect("a resolved or created library"), &refs);
-        let segno = gate_retry(self, p, "lib initiate", |s| {
-            Supervisor::initiate(s, drv, "lib")
-        })?;
-        gate_retry(self, p, "lib page", |s| {
-            s.user_write(drv, segno, 0, Word::new(refs.len() as u64))
-        })
+        b.sys
+            .publish_definitions(lib.expect("a resolved or created library"), &refs);
+        let segno = b.retry("lib initiate", |s| Supervisor::initiate(s, drv, "lib"))?;
+        let n = Word::new(refs.len() as u64);
+        b.retry("lib page", |s| s.user_write(drv, segno, 0, n))
     }
 
-    fn link(&mut self, pid: LProcessId, _: &mut (), sym: &str) -> Res<Self, u32> {
+    fn link(&mut self, pid: LPid, _: &mut (), sym: &str) -> Res<Self, u32> {
         Supervisor::link(self, pid, "lib", sym).map(|l| l.offset)
     }
 
-    fn resolve(&mut self, pid: LProcessId, _: &mut (), name: &str) -> Res<Self> {
+    fn resolve(&mut self, pid: LPid, _: &mut (), name: &str) -> Res<Self> {
         Supervisor::resolve(self, pid, name, AccessRight::Read).map(|_| ())
     }
 
-    fn read(&mut self, pid: LProcessId, segno: u32, offset: u32) -> Res<Self, Word> {
+    fn read(&mut self, pid: LPid, segno: u32, offset: u32) -> Res<Self, Word> {
         self.user_read(pid, segno, offset)
     }
 
-    fn read_resident(&mut self, pid: LProcessId, segno: u32, offset: u32) -> Res<Self, Word> {
+    fn read_resident(&mut self, pid: LPid, segno: u32, offset: u32) -> Res<Self, Word> {
         self.user_read(pid, segno, offset)
     }
 
-    fn write(&mut self, pid: LProcessId, segno: u32, offset: u32, w: Word) -> Res<Self> {
+    fn write(&mut self, pid: LPid, segno: u32, offset: u32, w: Word) -> Res<Self> {
         self.user_write(pid, segno, offset, w)
     }
 
     fn salvage(&mut self, repair: bool) -> Res<Self, Salvaged> {
-        Supervisor::salvage(self, repair).map(|r| Salvaged {
-            problems: r.problems.len(),
-            repairs: r.repairs.len(),
-            clean: r.clean(),
-            found: format!("{:?}", r.problems),
-        })
+        let r = Supervisor::salvage(self, repair)?;
+        Ok(Salvaged::of(&r.problems, r.repairs.len(), r.clean()))
     }
 
     fn begin_online(&mut self, release_early: bool) -> Result<(), String> {
@@ -895,7 +855,7 @@ impl Design for Supervisor {
             .map_err(|e| format!("{e:?}"))
     }
 
-    fn net_read(&mut self, _: LProcessId, net: NetworkId, ch: u16) -> Result<Vec<u8>, String> {
+    fn net_read(&mut self, _: LPid, net: NetworkId, ch: u16) -> Result<Vec<u8>, String> {
         self.network_read_channel(net, ch)
             .map_err(|e| format!("{e:?}"))
     }

@@ -307,15 +307,8 @@ fn transcript(
 /// Terminal labels in the stream — must equal the scripted population,
 /// or recovery lost someone.
 fn terminals(parity: &[String]) -> usize {
-    parity
-        .iter()
-        .filter(|l| {
-            l.as_str() == "out"
-                || l.as_str() == "reap"
-                || l.starts_with("out:")
-                || l.starts_with("reap:")
-        })
-        .count()
+    let terminal = |l: &&String| matches!(l.split(':').next(), Some("out" | "reap"));
+    parity.iter().filter(terminal).count()
 }
 
 /// Renders a percentile with its typed failure states instead of
@@ -567,6 +560,7 @@ impl From<&Figures> for EpochReport {
 
 /// What the epoch loop hands back to be shaped into a [`C1Run`] or an
 /// [`S1Run`].
+#[derive(Default)]
 struct Outcome {
     st: EngineState,
     epochs: Vec<Figures>,
@@ -574,10 +568,17 @@ struct Outcome {
     load_cycles: u64,
     recovery_cycles: u64,
     violations: Vec<String>,
+    /// The edge ledger outlives the machine: each crash boundary
+    /// replaces the clock, so the ledger is folded in before every
+    /// replacement.
     edges: EdgeSet,
 }
 
 impl Outcome {
+    fn note(&mut self, violation: String) {
+        self.violations.push(violation);
+    }
+
     /// The end-of-run checks: no login stranded in the queue, and every
     /// scripted session reached a terminal label.
     fn close(mut self, plan: &Plan, design: &str, stranded: usize) -> Self {
@@ -599,58 +600,51 @@ impl Outcome {
     }
 }
 
-/// Harvests a drained salvage's figures into the report of the epoch
-/// whose crash spawned it, and re-tags the probe's accumulated oracle
-/// violations with that epoch and the replayable repro string.
-fn patch_salvage_figures(
-    report: &mut S1EpochReport,
-    probe: &mut SalvageProbe,
-    violations: &mut Vec<String>,
-    tag: &str,
-    repro: &str,
-) {
-    let Some(begin) = probe.begin_at else { return };
-    report.salvage_problems = probe.problems;
-    report.salvage_repairs = probe.repairs;
-    report.dirs_released = probe.dirs_released;
-    report.overlap_ops = probe.ops_overlapped;
-    report.blocked_ops = probe.blocked_ops;
-    report.retries = probe.retries;
-    report.blocked_cycles = probe.blocked_cycles;
-    match probe.done_at {
-        Some(done) => report.salvage_window = done.saturating_sub(begin),
-        None => violations.push(format!("{tag}: online salvage never completed [{repro}]")),
-    }
-    if let Some(first) = probe.first_op_at {
-        report.first_op_cycles = first.saturating_sub(begin);
-    }
-    for v in probe.violations.drain(..) {
-        violations.push(format!("{tag}: {v} [{repro}]"));
-    }
-}
-
-/// Finishes the epoch that just ended: drains any salvage still in
-/// flight, patches its figures into the epoch whose crash spawned it,
-/// runs the boundary battery, and measures the epoch.
+/// Finishes the epoch that began at `base`: drains any salvage still
+/// in flight, harvests its figures into the report of the epoch whose
+/// crash spawned it (re-tagging the probe's oracle violations with that
+/// epoch and the replayable repro string), runs the boundary battery
+/// (tagged `at`), and measures the epoch.
 fn end_epoch<D: Design>(
     d: &mut Driver<D>,
-    epochs: &mut [Figures],
-    violations: &mut Vec<String>,
+    out: &mut Outcome,
     repro: &str,
     at: &str,
+    base: u64,
 ) -> Figures {
     d.drain_salvage();
-    let prev = epochs.len().wrapping_sub(1);
-    if let Some(last) = epochs.last_mut() {
+    let (prev, probe) = (out.epochs.len().wrapping_sub(1), &mut d.salvage);
+    if let (Some(last), Some(begin)) = (out.epochs.last_mut(), probe.begin_at) {
         let tag = format!("{} epoch {prev} online salvage", D::NAME);
-        patch_salvage_figures(&mut last.report, &mut d.salvage, violations, &tag, repro);
+        let r = &mut last.report;
+        r.salvage_problems = probe.problems;
+        r.salvage_repairs = probe.repairs;
+        r.dirs_released = probe.dirs_released;
+        r.overlap_ops = probe.ops_overlapped;
+        r.blocked_ops = probe.blocked_ops;
+        r.retries = probe.retries;
+        r.blocked_cycles = probe.blocked_cycles;
+        r.salvage_window = probe.done_at.map_or(0, |t| t.saturating_sub(begin));
+        r.first_op_cycles = probe.first_op_at.map_or(0, |t| t.saturating_sub(begin));
+        if probe.done_at.is_none() {
+            let msg = format!("{tag}: online salvage never completed [{repro}]");
+            out.violations.push(msg);
+        }
+        for v in probe.violations.drain(..) {
+            out.violations.push(format!("{tag}: {v} [{repro}]"));
+        }
     }
     for v in d.sys.oracle() {
-        violations.push(format!("{} {at}: {v} [{repro}]", D::NAME));
+        out.note(format!("{} {at}: {v} [{repro}]", D::NAME));
     }
+    let now = d.now();
+    out.load_cycles += now - base;
     let (queue_delay, event_queue_hwm) = d.sys.queue_probes();
     Figures {
         report: S1EpochReport {
+            ops: out.st.ops,
+            cycles: now - base,
+            live_at_crash: out.st.live.len(),
             queued_at_crash: D::queued(&d.front),
             ..S1EpochReport::default()
         },
@@ -669,18 +663,7 @@ fn run_epochs<D: Design>(plan: &Plan) -> Outcome {
     let repro = plan.repro.as_str();
     let load = LoadSpec::continuous(spec.sessions, spec.seed);
     let scripts = load.scripts();
-    let mut out = Outcome {
-        st: EngineState::default(),
-        epochs: Vec::new(),
-        epoch_bounds: Vec::new(),
-        load_cycles: 0,
-        recovery_cycles: 0,
-        violations: Vec::new(),
-        // The edge ledger outlives the machine: each crash boundary
-        // replaces the clock, so the ledger is folded in before every
-        // replacement.
-        edges: EdgeSet::new(),
-    };
+    let mut out = Outcome::default();
 
     let (mut d, mut ctx) = setup::<D>(&load);
     // The durability point: everything the world build created is on
@@ -695,13 +678,7 @@ fn run_epochs<D: Design>(plan: &Plan) -> Outcome {
     for e in 0..u64::from(spec.crashes) {
         let stop = Some((e + 1) * spec.ops_per_epoch());
         drained = drive_until(&mut d, &scripts, &mut out.st, stop);
-        let at = format!("epoch {e}");
-        let mut fig = end_epoch(&mut d, &mut out.epochs, &mut out.violations, repro, &at);
-        let now = d.now();
-        out.load_cycles += now - epoch_base;
-        fig.report.ops = out.st.ops;
-        fig.report.cycles = now - epoch_base;
-        fig.report.live_at_crash = out.st.live.len();
+        let mut fig = end_epoch(&mut d, &mut out, repro, &format!("epoch {e}"), epoch_base);
         if drained {
             out.epochs.push(fig);
             break;
@@ -712,7 +689,7 @@ fn run_epochs<D: Design>(plan: &Plan) -> Outcome {
         // ---- the crash: beacon, arm, power fails mid-sync ----
         let beacon = Word::new(0xBEAC_0000 + e);
         if let Err(err) = d.sys.write(ctx.drv, ctx.shared_segno, 1, beacon) {
-            out.violations.push(fail(format!("beacon write: {err:?}")));
+            out.note(fail(format!("beacon write: {err:?}")));
         }
         let mode = crash_mode(spec.plan_seed, e);
         d.sys
@@ -723,8 +700,7 @@ fn run_epochs<D: Design>(plan: &Plan) -> Outcome {
         let m = d.sys.machine();
         out.edges.merge(m.clock.edge_set());
         if sync.is_ok() || m.faults.halted().is_none() {
-            out.violations
-                .push(fail("crash plan failed to fire during sync".to_string()));
+            out.note(fail("crash plan failed to fire during sync".to_string()));
             out.epochs.push(fig);
             return out.close(plan, tag, 0);
         }
@@ -738,11 +714,10 @@ fn run_epochs<D: Design>(plan: &Plan) -> Outcome {
         D::crash_front(&mut front);
 
         // ---- recovery: bootload, salvage, reconcile ----
-        let mut sys = match D::boot_image(&load.shape(), image) {
+        let mut sys = match D::boot(&load.shape(), Some(image)) {
             Ok(sys) => sys,
             Err(err) => {
-                out.violations
-                    .push(fail(format!("recovery bootload failed: {err}")));
+                out.note(fail(format!("recovery bootload failed: {err}")));
                 out.epochs.push(fig);
                 return out.close(plan, tag, 0);
             }
@@ -751,7 +726,7 @@ fn run_epochs<D: Design>(plan: &Plan) -> Outcome {
         if plan.online {
             // Quarantine the hierarchy and resume before it is repaired.
             if let Err(msg) = sys.begin_online(e == 0 && plan.release_early) {
-                out.violations.push(fail(msg));
+                out.note(fail(msg));
             }
             probe.begin_at = Some(sys.machine().clock.now());
         } else {
@@ -760,19 +735,16 @@ fn run_epochs<D: Design>(plan: &Plan) -> Outcome {
                     fig.report.salvage_problems = repaired.problems;
                     fig.report.salvage_repairs = repaired.repairs;
                     if !check.clean {
-                        out.violations.push(fail(format!(
+                        out.note(fail(format!(
                             "salvage not idempotent — second pass sees {}",
                             check.found
                         )));
                     }
                 }
-                (r, c) => out
-                    .violations
-                    .push(fail(format!("salvage errored: {r:?} / {c:?}"))),
+                (r, c) => out.note(fail(format!("salvage errored: {r:?} / {c:?}"))),
             }
             for v in sys.oracle() {
-                out.violations
-                    .push(format!("{tag} epoch {e} post-salvage: {v} [{repro}]"));
+                out.note(format!("{tag} epoch {e} post-salvage: {v} [{repro}]"));
             }
         }
         let mut next = Driver {
@@ -793,17 +765,16 @@ fn run_epochs<D: Design>(plan: &Plan) -> Outcome {
         ) {
             Ok(nctx) => ctx = nctx,
             Err(msg) => {
-                out.violations.push(fail(format!("reconcile: {msg}")));
+                out.note(fail(format!("reconcile: {msg}")));
                 for v in next.salvage.violations.drain(..) {
-                    out.violations
-                        .push(format!("{tag} epoch {e} online salvage: {v} [{repro}]"));
+                    out.note(format!("{tag} epoch {e} online salvage: {v} [{repro}]"));
                 }
                 out.epochs.push(fig);
                 return out.close(plan, tag, 0);
             }
         }
         if D::pending(&next.front) != pending_before {
-            out.violations.push(fail(format!(
+            out.note(fail(format!(
                 "admission queue changed across recovery — {pending_before:?} became {:?}",
                 D::pending(&next.front)
             )));
@@ -830,11 +801,7 @@ fn run_epochs<D: Design>(plan: &Plan) -> Outcome {
 
     if !drained {
         drive_until(&mut d, &scripts, &mut out.st, None);
-        let mut fig = end_epoch(&mut d, &mut out.epochs, &mut out.violations, repro, "final");
-        let now = d.now();
-        out.load_cycles += now - epoch_base;
-        fig.report.ops = out.st.ops;
-        fig.report.cycles = now - epoch_base;
+        let fig = end_epoch(&mut d, &mut out, repro, "final", epoch_base);
         out.epochs.push(fig);
     }
     out.edges.merge(d.sys.machine().clock.edge_set());
@@ -880,7 +847,7 @@ fn reconcile<D: Design>(
     // recreate and re-cap only what vanished.
     for j in 0..load.shards() {
         let name = shard_name(j);
-        let dir = match b.sys.find_shard(b.probe, drv, &name) {
+        let dir = match D::find_shard(&mut b, &name) {
             Some(dir) => dir,
             None => b.dir(&name, load.shard_quota())?,
         };

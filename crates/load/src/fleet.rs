@@ -90,6 +90,9 @@ const REQ_LEN: usize = 14;
 /// Response payload: status byte plus a 64-bit value.
 const RESP_LEN: usize = 9;
 
+/// A decoded reply; `None` = it never arrived (a frame was lost).
+type Reply = Option<(u8, u64)>;
+
 fn status_name(st: u8) -> &'static str {
     STATUS.get(usize::from(st)).copied().unwrap_or("err")
 }
@@ -461,8 +464,9 @@ struct Member<D: Design> {
     drv: D::Pid,
     env: D::Env,
     net: D::Net,
-    dirs: HashMap<usize, D::Dir>,
-    mig: Option<D::Dir>,
+    /// Root directories this machine holds (its shards, the store's
+    /// migration landing zone), by name.
+    dirs: HashMap<String, D::Dir>,
     shared_segno: Option<u32>,
     files: HashMap<usize, RFile<D>>,
     served: u64,
@@ -539,19 +543,19 @@ fn setup_fleet<D: Design>(
             probe: &mut probe,
             drv,
         };
-        let (mut shared_segno, mut mig) = (None, None);
+        let (mut shared_segno, mut dirs) = (None, HashMap::new());
         if m == 0 {
             shared_segno = Some(b.fixtures(true).expect("store fixtures"));
             // The migration landing zone, capped roomily: it only ever
             // holds files full packs pushed off member machines.
             let quota = 2 * base.sessions as u32 + 64;
-            mig = Some(b.dir("mig", quota).expect("mig dir"));
+            dirs.insert("mig".to_string(), b.dir("mig", quota).expect("mig dir"));
         }
-        let quota = base.shard_quota();
-        let dirs: HashMap<usize, D::Dir> = (0..base.shards())
-            .filter(|j| j % spec.machines == m)
-            .map(|j| (j, b.dir(&shard_name(j), quota).expect("shard dir")))
-            .collect();
+        for j in (0..base.shards()).filter(|j| j % spec.machines == m) {
+            let name = shard_name(j);
+            let dir = b.dir(&name, base.shard_quota()).expect("shard dir");
+            dirs.insert(name, dir);
+        }
         for (idx, &h) in homes.iter().enumerate() {
             if h == m {
                 sys.register(&mut front, &account_name(idx));
@@ -570,7 +574,6 @@ fn setup_fleet<D: Design>(
             env,
             net,
             dirs,
-            mig,
             shared_segno,
             files: HashMap::new(),
             served: 0,
@@ -597,6 +600,10 @@ fn setup_fleet<D: Design>(
 }
 
 impl<D: Design> Fleet<D> {
+    fn fs(&mut self, idx: usize) -> &mut FSession<D> {
+        self.sessions[idx].as_mut().expect("live session")
+    }
+
     /// Drains the wire: every queued frame is delivered (or dropped by
     /// the planted cheat), requests are serviced as they land, and any
     /// frames the servicing itself enqueues are delivered too.
@@ -607,23 +614,20 @@ impl<D: Design> Fleet<D> {
     }
 
     fn deliver(&mut self, dst: usize, frame: WireFrame) {
-        let m = &mut self.ms[dst];
+        let (m, failures) = (&mut self.ms[dst], &mut self.failures);
         match frame.kind {
             FrameKind::Directive => {
                 // Admission directives are answering-service traffic on
                 // both ends of the wire.
                 let ch = u16::from(CH_DIRECTIVE);
                 if let Err(e) = m.sys.deliver_directive(m.net, &frame.bytes, ch) {
-                    self.failures
-                        .push(format!("machine {dst}: directive receive: {e}"));
+                    failures.push(format!("machine {dst}: directive receive: {e}"));
                 }
             }
             FrameKind::Gossip => {
                 m.charge_frame(frame.bytes.len());
                 match m.sys.net_receive(m.net, &frame.bytes) {
-                    Err(e) => self
-                        .failures
-                        .push(format!("machine {dst}: gossip receive: {e}")),
+                    Err(e) => failures.push(format!("machine {dst}: gossip receive: {e}")),
                     Ok(()) => {
                         let _ = m.sys.net_read(m.drv, m.net, u16::from(CH_GOSSIP));
                     }
@@ -639,8 +643,7 @@ impl<D: Design> Fleet<D> {
             FrameKind::Data => {
                 m.charge_frame(frame.bytes.len());
                 if let Err(e) = m.sys.net_receive(m.net, &frame.bytes) {
-                    self.failures
-                        .push(format!("machine {dst}: frame receive: {e}"));
+                    failures.push(format!("machine {dst}: frame receive: {e}"));
                     return;
                 }
                 let ch = u16::from(frame.bytes[0]);
@@ -664,7 +667,7 @@ impl<D: Design> Fleet<D> {
     /// gossip, reply.
     fn service_request(&mut self, mi: usize, ch: u16) {
         let specialized = self.specialized(mi);
-        let m = &mut self.ms[mi];
+        let (m, failures) = (&mut self.ms[mi], &mut self.failures);
         let read = if specialized {
             m.sys.net_read_resident(m.net, ch)
         } else {
@@ -673,28 +676,22 @@ impl<D: Design> Fleet<D> {
         let bytes = match read {
             Ok(b) if b.len() == REQ_LEN => b,
             Ok(b) => {
-                self.failures
-                    .push(format!("machine {mi}: mangled request ({} bytes)", b.len()));
+                failures.push(format!("machine {mi}: mangled request ({} bytes)", b.len()));
                 return;
             }
             Err(e) => {
-                self.failures
-                    .push(format!("machine {mi}: request read: {e}"));
+                failures.push(format!("machine {mi}: request read: {e}"));
                 return;
             }
         };
         let machine = m.sys.machine_mut();
-        let cost = machine.cost;
+        let (cost, clock) = (machine.cost, &mut machine.clock);
         if specialized {
-            let g = machine.clock.enter(Subsystem::Network);
-            machine
-                .clock
-                .charge_instructions(&cost, RESIDENT_DISPATCH_INSTR, Language::Assembly);
-            machine.clock.exit(g);
+            let g = clock.enter(Subsystem::Network);
+            clock.charge_instructions(&cost, RESIDENT_DISPATCH_INSTR, Language::Assembly);
+            clock.exit(g);
         } else {
-            machine
-                .clock
-                .charge_instructions(&cost, CMD_DECODE_INSTR, Language::Pli);
+            clock.charge_instructions(&cost, CMD_DECODE_INSTR, Language::Pli);
         }
         let (status, value) = self.execute_op(mi, Req::decode(&bytes));
 
@@ -754,12 +751,11 @@ impl<D: Design> Fleet<D> {
             },
             OP_GROW | OP_MIG_OPEN => {
                 if !m.files.contains_key(&idx) {
-                    let (dir, dir_name) = if op == OP_GROW {
-                        (m.dirs.get(&shard).copied(), shard_name(shard))
-                    } else {
-                        (m.mig, "mig".to_string())
+                    let dir_name = match op {
+                        OP_GROW => shard_name(shard),
+                        _ => "mig".to_string(),
                     };
-                    let Some(dir) = dir else {
+                    let Some(&dir) = m.dirs.get(&dir_name) else {
                         return (ST_ERR, 0);
                     };
                     match create_file(sys, drv, dir, &dir_name, idx) {
@@ -806,7 +802,7 @@ impl<D: Design> Fleet<D> {
     /// drain the wire (which services it at the far end), then read the
     /// reply back through this machine's demultiplexer. `None` = the
     /// reply never arrived (a frame was lost).
-    fn rpc(&mut self, src: usize, dst: usize, pid: D::Pid, req: Req) -> Option<(u8, u64)> {
+    fn rpc(&mut self, src: usize, dst: usize, pid: D::Pid, req: Req) -> Reply {
         let bytes = Wire::frame(src as u8, &req.encode());
         self.ms[src].charge_frame(bytes.len());
         self.wire.send(src, dst, FrameKind::Data, bytes);
@@ -824,13 +820,7 @@ impl<D: Design> Fleet<D> {
 
     /// Remote-or-colocated daemon operation: a session whose file
     /// migrated to its own home machine skips the wire.
-    fn daemon_call(
-        &mut self,
-        target: usize,
-        home: usize,
-        pid: D::Pid,
-        req: Req,
-    ) -> Option<(u8, u64)> {
+    fn daemon_call(&mut self, target: usize, home: usize, pid: D::Pid, req: Req) -> Reply {
         if target == home {
             Some(self.execute_op(target, req))
         } else {
@@ -853,7 +843,7 @@ impl<D: Design> Fleet<D> {
             self.wire.send(0, home, FrameKind::Directive, bytes);
             self.pump();
         }
-        let m = &mut self.ms[home];
+        let (m, failures) = (&mut self.ms[home], &mut self.failures);
         match m.sys.login(&mut m.front, &account_name(idx)) {
             Ok(pid) => {
                 let env = m.sys.open_env(pid);
@@ -866,9 +856,7 @@ impl<D: Design> Fleet<D> {
                 });
                 self.live += 1;
             }
-            Err(e) => self
-                .failures
-                .push(format!("login u{idx} refused at machine {home}: {e:?}")),
+            Err(e) => failures.push(format!("login u{idx} refused at machine {home}: {e:?}")),
         }
     }
 
@@ -936,7 +924,7 @@ impl<D: Design> Fleet<D> {
         let deleted = if owner == home {
             let own = self.sessions[idx].as_mut().and_then(|fs| fs.s.own.take());
             own.map(|_| {
-                let dir = m.dirs[&shard];
+                let dir = m.dirs[&shard_name(shard)];
                 m.sys
                     .delete_file(pid, dir, &shard_name(shard), &file_name(idx))
             })
@@ -959,7 +947,7 @@ impl<D: Design> Fleet<D> {
     fn exec_local(&mut self, idx: usize, shard: usize, action: &Action) -> String {
         let fs = self.sessions[idx].as_mut().expect("live session");
         let m = &mut self.ms[fs.home];
-        let dir = m.dirs.get(&shard).copied();
+        let dir = m.dirs.get(&shard_name(shard)).copied();
         // No salvager runs in a fleet, so the only op held back is a
         // read of a file the session does not have.
         let label = session_op(&mut m.sys, &mut fs.s, idx, shard, dir, action)
@@ -1033,10 +1021,7 @@ impl<D: Design> Harness for Fleet<D> {
                 self.rpc(home, target, pid, req)
             };
             if let (Action::Grow { .. }, Some((_, 1))) = (action, resp) {
-                self.sessions[idx]
-                    .as_mut()
-                    .expect("live session")
-                    .own_created = true;
+                self.fs(idx).own_created = true;
             }
             let prefix = match action {
                 Action::Link(_) => "l",
@@ -1053,11 +1038,7 @@ impl<D: Design> Harness for Fleet<D> {
         };
         if let Action::Grow { val, .. } = *action {
             if label == "w:ok" {
-                self.sessions[idx]
-                    .as_mut()
-                    .expect("live session")
-                    .pages
-                    .push(val);
+                self.fs(idx).pages.push(val);
             }
             if self.spec.migratory && owner != 0 {
                 self.maybe_migrate(idx, shard, owner);
@@ -1081,7 +1062,7 @@ impl<D: Design> Harness for Fleet<D> {
             if owner == home && !migrated {
                 if own.is_some() {
                     let m = &mut self.ms[home];
-                    let dir = m.dirs[&shard];
+                    let dir = m.dirs[&shard_name(shard)];
                     let name = file_name(idx);
                     if m.sys
                         .delete_file(pid, dir, &shard_name(shard), &name)

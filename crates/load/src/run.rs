@@ -516,7 +516,7 @@ impl<D: Design> Build<'_, D> {
     pub(crate) fn fixtures(&mut self, fresh: bool) -> Result<u32, String> {
         let drv = self.drv;
         let lib = self.fixture("lib", fresh)?;
-        self.sys.publish_lib(self.probe, drv, lib)?;
+        D::publish_lib(self, lib)?;
         let shared = self.fixture("shared", fresh)?;
         let segno = self.retry("shared initiate", |d| d.initiate(drv, shared, "shared"))?;
         for page in 0..SHARED_PAGES {
@@ -615,6 +615,10 @@ pub struct SalvageProbe {
 }
 
 impl SalvageProbe {
+    fn note(&mut self, violation: String) {
+        self.violations.push(violation);
+    }
+
     /// One salvager step with the per-release battery applied: recheck
     /// verdict, meter conservation, serving-half record conservation at
     /// every release, and the full oracle battery at `Done`. Shared by
@@ -625,7 +629,7 @@ impl SalvageProbe {
             Ok(Step::Released { dir, recheck_clean }) => {
                 self.dirs_released += 1;
                 if !recheck_clean {
-                    self.violations.push(format!(
+                    self.note(format!(
                         "released dir uid {dir} with a failing recheck — \
                          per-directory salvage not idempotent"
                     ));
@@ -635,8 +639,7 @@ impl SalvageProbe {
                     .into_iter()
                     .chain(check_serving_records(&m.disks));
                 for v in found {
-                    self.violations
-                        .push(format!("at release of uid {dir}: {v}"));
+                    self.note(format!("at release of uid {dir}: {v}"));
                 }
             }
             Ok(Step::Done { problems, repairs }) => {
@@ -644,13 +647,11 @@ impl SalvageProbe {
                 self.problems = problems;
                 self.repairs = repairs;
                 for v in d.oracle() {
-                    self.violations.push(format!("post-salvage: {v}"));
+                    self.note(format!("post-salvage: {v}"));
                 }
             }
             Ok(Step::Quiet) => {}
-            Err(e) => self
-                .violations
-                .push(format!("online salvage step failed: {e:?}")),
+            Err(e) => self.note(format!("online salvage step failed: {e:?}")),
         }
     }
 }
@@ -766,9 +767,8 @@ impl<D: Design> Driver<D> {
             self.salvage.step(&mut self.sys);
             guard += 1;
             if guard > 10_000 {
-                self.salvage
-                    .violations
-                    .push("online salvage failed to terminate within 10000 steps".to_string());
+                let msg = "online salvage failed to terminate within 10000 steps";
+                self.salvage.note(msg.to_string());
                 break;
             }
         }
@@ -1091,7 +1091,7 @@ pub(crate) fn boot_with_driver<D: Design>(
     shape: &Shape,
     pack: Option<(u32, u32)>,
 ) -> (D, D::Front, D::Pid) {
-    let mut sys = D::boot(shape);
+    let mut sys = D::boot(shape, None).expect("boot");
     if let Some((records, toc_slots)) = pack {
         sys.machine_mut().disks.attach(records, toc_slots);
     }

@@ -112,7 +112,7 @@ pub struct ShardRun {
 }
 
 /// One design's results folded across all shards, in shard order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DesignMerge {
     /// `"kernel"` or `"legacy"`.
     pub design: &'static str,
@@ -203,14 +203,7 @@ fn merge_design(
 ) -> DesignMerge {
     let mut m = DesignMerge {
         design,
-        ops: 0,
-        cycles: 0,
-        sessions: 0,
-        abandoned: 0,
-        parity: Vec::new(),
-        hist: Histogram::new(),
-        user_samples: Vec::new(),
-        edges: EdgeSet::new(),
+        ..DesignMerge::default()
     };
     for shard in shards {
         let r = pick(shard);
