@@ -8,17 +8,18 @@
 //! repro --list                # list experiment ids
 //! repro --trace report.json   # also write per-subsystem cycle attribution
 //! repro --only r1 --stride 16 # subsample the crash matrix (CI smoke)
-//! repro --only l1 --l1-max 64 # cap the load-scaling sweep (CI smoke)
-//! repro --only c1 --c1-max 32 # cap the chaos population (CI smoke)
-//! repro --only m1 --shards 4 --m1-max 4096 # sharded load (CI smoke)
-//! repro --only s1 --s1-max 16 # cap the online-salvage population (CI smoke)
-//! repro --only f1 --machines 2 --f1-max 64 # fleet scaling (CI smoke)
+//! repro --only l1 --max 64    # cap the load-scaling sweep (CI smoke)
+//! repro --only c1 --max 32    # cap the chaos population (CI smoke)
+//! repro --only m1 --shards 4 --max 4096 # sharded load (CI smoke)
+//! repro --only o1 --max 16    # cap the online-salvage population (CI smoke)
+//! repro --only n1 --machines 2 --max 64 # fleet scaling (CI smoke)
 //! ```
 //!
-//! The id `s1` runs both S1 experiments: the mythical-identifier
-//! semantics check and the online-salvage robustness composition.
-//! Likewise `f1` runs both Figure 1 (the project plan) and the F1
-//! fleet-scaling experiment.
+//! `--max N` caps the population of every selected scaling experiment
+//! at `min(N, its default)`: `l1` 1,024 users, `c1`, `o1` and `n1` 64,
+//! `m1` 100,000. Every id names exactly one experiment: `f1` is
+//! Figure 1, `s1` the mythical-identifier semantics study, `o1` online
+//! salvage, and `n1` the multi-machine fleet.
 
 use mx_bench::{
     a1_namespace_cache, a2_purifier_idle, a3_associative_memory, p1_linker, p2_namespace,
@@ -34,7 +35,7 @@ use mx_deps::render_ascii;
 
 const ALL: &[&str] = &[
     "f1", "f2", "f3", "f4", "t1", "t2", "t3", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8", "s1",
-    "s2", "s3", "r1", "a1", "a2", "a3", "x1", "l1", "c1", "m1", "g1",
+    "s2", "s3", "r1", "a1", "a2", "a3", "x1", "l1", "c1", "m1", "o1", "g1", "n1",
 ];
 
 fn main() {
@@ -47,13 +48,9 @@ fn main() {
     }
     let mut dot = false;
     let mut stride: u64 = 1;
-    let mut l1_max: usize = 1024;
-    let mut c1_max: usize = 64;
-    let mut s1_max: usize = 64;
-    let mut m1_max: usize = 100_000;
+    let mut max: usize = usize::MAX;
     let mut shards: usize = 4;
     let mut machines: usize = 4;
-    let mut f1_max: usize = 64;
     let mut trace_path: Option<String> = None;
     let mut selected: Vec<String> = Vec::new();
     let mut i = 0;
@@ -85,42 +82,12 @@ fn main() {
                     }
                 }
             }
-            "--l1-max" => {
+            "--max" => {
                 i += 1;
                 match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => l1_max = n,
+                    Some(n) if n > 0 => max = n,
                     _ => {
-                        eprintln!("--l1-max requires a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--c1-max" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => c1_max = n,
-                    _ => {
-                        eprintln!("--c1-max requires a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--s1-max" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => s1_max = n,
-                    _ => {
-                        eprintln!("--s1-max requires a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--m1-max" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => m1_max = n,
-                    _ => {
-                        eprintln!("--m1-max requires a positive integer");
+                        eprintln!("--max requires a positive integer");
                         std::process::exit(2);
                     }
                 }
@@ -141,16 +108,6 @@ fn main() {
                     Some(n) if n > 0 => machines = n,
                     _ => {
                         eprintln!("--machines requires a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--f1-max" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => f1_max = n,
-                    _ => {
-                        eprintln!("--f1-max requires a positive integer");
                         std::process::exit(2);
                     }
                 }
@@ -176,6 +133,8 @@ fn main() {
         std::process::exit(2);
     }
     let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
+    let (l1_max, c1_max, o1_max) = (max.min(1024), max.min(64), max.min(64));
+    let (m1_max, n1_max) = (max.min(100_000), max.min(64));
 
     println!("================================================================");
     println!(" The Multics Kernel Design Project — reproduction report");
@@ -466,15 +425,15 @@ fn main() {
         );
     }
 
-    if want("s1") {
+    if want("o1") {
         header(
-            "S1",
+            "O1",
             "Robustness — online salvage under re-admitted traffic",
         );
-        if s1_max < 64 {
-            println!("  (population capped at {s1_max} users)\n");
+        if o1_max < 64 {
+            println!("  (population capped at {o1_max} users)\n");
         }
-        println!("{}", mx_bench::s1_online_salvage(s1_max));
+        println!("{}", mx_bench::s1_online_salvage(o1_max));
         println!(
             "  the same crash plan as C1, but the population is re-admitted while\n  \
              the salvager still holds most of the hierarchy: every directory release\n  \
@@ -496,15 +455,15 @@ fn main() {
         );
     }
 
-    if want("f1") {
+    if want("n1") {
         header(
-            "F1",
+            "N1",
             "Fleet — multi-machine Multics behind one answering service",
         );
-        if machines != 4 || f1_max != 64 {
-            println!("  (fleet capped at {machines} machines, {f1_max} users)\n");
+        if machines != 4 || n1_max != 64 {
+            println!("  (fleet capped at {machines} machines, {n1_max} users)\n");
         }
-        println!("{}", mx_bench::f1_fleet_scaling(machines, f1_max));
+        println!("{}", mx_bench::f1_fleet_scaling(machines, n1_max));
         println!(
             "  every machine count produced the single-machine label stream, FIFO\n  \
              admission, and fleet-wide record conservation; the specialized file\n  \

@@ -31,9 +31,7 @@ use mx_sync::SchedulePolicy;
 use mx_user::{publish_library, Admission, AnsweringService, NameSpace, UserLinker};
 
 use crate::epoch::C1Policy;
-use crate::run::{
-    account_index, account_name, definitions, Build, SalvageProbe, SALVAGE_RETRY_BUDGET,
-};
+use crate::run::{account_index, account_name, definitions, Build};
 
 /// A design's own result type.
 pub(crate) type Res<D, T = ()> = Result<T, <D as Design>::Error>;
@@ -238,34 +236,6 @@ pub(crate) trait Design: Sized {
     /// Takes one front-end admission directive off the wire, charged
     /// to the answering service.
     fn deliver_directive(&mut self, net: Self::Net, bytes: &[u8], ch: u16) -> Result<(), String>;
-}
-
-/// Retries `f` through `SalvageBusy`, stepping the salvager (and its
-/// per-release oracle battery) between attempts. A bounded budget turns
-/// a wedged salvager into a typed failure instead of a hang.
-pub(crate) fn gate_retry<D: Design, T>(
-    d: &mut D,
-    probe: &mut SalvageProbe,
-    what: &str,
-    mut f: impl FnMut(&mut D) -> Res<D, T>,
-) -> Result<T, String> {
-    let mut attempts = 0u32;
-    loop {
-        match f(d) {
-            Ok(v) => return Ok(v),
-            Err(e) if D::is_busy(&e) => {
-                attempts += 1;
-                if attempts > SALVAGE_RETRY_BUDGET {
-                    return Err(format!(
-                        "{what}: salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted"
-                    ));
-                }
-                probe.retries += 1;
-                probe.step(d);
-            }
-            Err(e) => return Err(format!("{what}: {e:?}")),
-        }
-    }
 }
 
 fn def_refs(defs: &[(String, u32)]) -> Vec<(&str, u32)> {

@@ -17,7 +17,7 @@
 //!   bookkeeping; the crash costs them nothing but time. They are
 //!   re-admitted in the original FIFO order as slots free up.
 //! * **Live sessions are re-opened at their script positions.** The
-//!   engine's [`EngineState`] — cursor, per-session op index, the
+//!   engine's `EngineState` — cursor, per-session op index, the
 //!   values each session's file successfully grew by — survives the
 //!   crash (it models the users at their terminals, who remember what
 //!   they were doing). Each survivor logs in again and the harness
@@ -36,11 +36,11 @@
 //! string. [`C1SelfCheck`] deliberately breaks the recovery obligations
 //! so a harness test can prove the oracles catch a cheat.
 
-use crate::design::{gate_retry, Design};
+use crate::design::Design;
 use crate::hist::{Histogram, HistogramError};
 use crate::run::{
-    account_name, drive_until, file_name, restore_file, setup, shard_name, storm, Build, Deferred,
-    Driver, EngineState, Harness, LoadSpec, SalvageProbe, Session, WorldCtx,
+    account_name, drive_until, file_name, gate_retry, restore_file, setup, shard_name, storm,
+    Build, Deferred, Driver, EngineState, Harness, LoadSpec, SalvageProbe, Session, WorldCtx,
 };
 use crate::script::SessionScript;
 use mx_explore::{PctPolicy, SeededRandomPolicy};
@@ -887,9 +887,10 @@ fn reconcile<D: Design>(
                 .map_err(|e| format!("survivor u{idx} shard resolve: {e:?}"))?;
             own = Some(restore_file(sys, pid, dir, &name, idx, &lv.grown_vals)?);
         }
-        let mut s = Session::new(pid, env);
-        s.own = own;
-        d.sessions[idx] = Some(s);
+        d.sessions[idx] = Some(Session {
+            own,
+            ..Session::new(pid, env)
+        });
     }
 
     if online {

@@ -1102,10 +1102,7 @@ impl<D: Design> Harness for Fleet<D> {
     }
 }
 
-/// Runs the fleet spec on design `D`. The optional policy governs only
-/// the wire's delivery order ([`ChoicePoint::Wire`]); each machine's
-/// internal schedule stays at the baseline, exactly as in the
-/// single-machine engine.
+/// Runs the fleet spec on design `D` (see [`run_kernel_fleet`]).
 fn run_fleet<D: Design>(
     spec: &FleetSpec,
     wire_policy: Option<Box<dyn SchedulePolicy>>,
@@ -1170,7 +1167,10 @@ fn run_fleet<D: Design>(
     }
 }
 
-/// Runs the fleet spec on the kernel design (see [`run_fleet`]).
+/// Runs the fleet spec on the kernel design. The optional policy
+/// governs only the wire's delivery order ([`ChoicePoint::Wire`]); each
+/// machine's internal schedule stays at the baseline FIFO, exactly as
+/// in the single-machine engine.
 pub fn run_kernel_fleet(
     spec: &FleetSpec,
     wire_policy: Option<Box<dyn SchedulePolicy>>,

@@ -6,9 +6,13 @@
 //! growth into quota and pack limits, page-fault-heavy sharing — and
 //! produce the same user-visible outcomes as the 1974 supervisor while
 //! the meters account for every cycle. This crate scripts that load as
-//! a pure function of a seed ([`script`]), drives the identical logical
-//! stream through both designs ([`run`]), and reports throughput and
-//! latency percentiles from a deterministic histogram ([`hist`]).
+//! a pure function of a seed ([`script`]) and drives the identical
+//! logical stream through both designs: on one machine ([`run`]),
+//! segmented by crashes with stop-the-world or online salvage
+//! ([`epoch`]), sharded across machines ([`shard`]), or as a fleet
+//! behind one answering service ([`fleet`]). Each harness is written
+//! once, generic over a crate-private `Design` trait whose two impls
+//! (the kernel, the old supervisor) hold every design-specific step.
 //!
 //! Everything here is seed-pure: same spec, same bytes, every run.
 

@@ -4,12 +4,12 @@
 //! next (round robin over the live set), when the scripted scheduler
 //! pass happens (every fourth operation), when a finished session's
 //! slot is re-offered to the admission queue — and delegates the
-//! design-specific work to a [`Harness`]. The one-machine harness,
-//! [`Driver`], is written once over [`Design`], so both supervisors
+//! design-specific work to a `Harness`. The one-machine harness,
+//! `Driver`, is written once over the `Design` trait, so both supervisors
 //! execute the byte-identical logical stream through the same code,
 //! which is what makes the user-visible parity assertion meaningful.
 
-use crate::design::{gate_retry, Design, Res, Shape, Step};
+use crate::design::{Design, Res, Shape, Step};
 use crate::hist::Histogram;
 use crate::script::{session_script, SessionOp, SessionScript, LIB_SYMBOLS, SHARED_PAGES};
 use mx_explore::oracle;
@@ -614,6 +614,34 @@ pub struct SalvageProbe {
     pub violations: Vec<String>,
 }
 
+/// Retries `f` through `SalvageBusy`, stepping the salvager (and its
+/// per-release oracle battery) between attempts. A bounded budget turns
+/// a wedged salvager into a typed failure instead of a hang.
+pub(crate) fn gate_retry<D: Design, T>(
+    d: &mut D,
+    probe: &mut SalvageProbe,
+    what: &str,
+    mut f: impl FnMut(&mut D) -> Res<D, T>,
+) -> Result<T, String> {
+    let mut attempts = 0u32;
+    loop {
+        match f(d) {
+            Ok(v) => return Ok(v),
+            Err(e) if D::is_busy(&e) => {
+                attempts += 1;
+                if attempts > SALVAGE_RETRY_BUDGET {
+                    return Err(format!(
+                        "{what}: salvage retry budget ({SALVAGE_RETRY_BUDGET}) exhausted"
+                    ));
+                }
+                probe.retries += 1;
+                probe.step(d);
+            }
+            Err(e) => return Err(format!("{what}: {e:?}")),
+        }
+    }
+}
+
 impl SalvageProbe {
     fn note(&mut self, violation: String) {
         self.violations.push(violation);
@@ -781,46 +809,39 @@ impl<D: Design> Driver<D> {
     pub(crate) fn attempt_deferred(&mut self) {
         let mut i = 0;
         while i < self.deferred.len() {
-            let ran = match self.open_deferred(i) {
-                Ok(None) => {
-                    i += 1;
-                    continue;
-                }
-                Ok(Some(dir)) => {
-                    let work = self.deferred.remove(i);
-                    self.run_deferred(work, dir)
-                }
-                Err(msg) => {
-                    self.deferred.remove(i);
-                    Err(msg)
-                }
+            let Some(opened) = self.open_deferred(i) else {
+                i += 1;
+                continue;
             };
-            if let Err(msg) = ran {
-                self.salvage.violations.push(msg);
+            let work = self.deferred.remove(i);
+            if let Err(msg) = opened.and_then(|dir| self.run_deferred(work, dir)) {
+                self.salvage.note(msg);
             }
         }
     }
 
-    /// `Ok(Some(dir))` = item `i`'s shard is serviceable; `Ok(None)` =
-    /// it is still quarantined.
-    fn open_deferred(&mut self, i: usize) -> Result<Option<D::Dir>, String> {
+    /// `Some(Ok(dir))` = item `i`'s shard is serviceable; `None` = it is
+    /// still quarantined.
+    fn open_deferred(&mut self, i: usize) -> Option<Result<D::Dir, String>> {
         let (shard, drv, quota) = {
             let w = &self.deferred[i];
             (w.shard, w.drv, w.quota)
         };
         let name = shard_name(shard);
         match self.sys.open_dir(drv, self.dirs[shard], &name) {
-            Err(e) if D::is_busy(&e) => Ok(None),
-            Ok(dir) => Ok(Some(dir)),
+            Err(e) if D::is_busy(&e) => None,
+            Ok(dir) => Some(Ok(dir)),
             Err(_) => {
                 // The crash (or the salvager clearing a mangled entry)
                 // cost us the shard directory itself: recreate and
                 // re-cap it. A directory created through the gates is
                 // born released, so the work below proceeds.
                 let (sys, probe) = (&mut self.sys, &mut self.salvage);
-                let dir = Build { sys, probe, drv }.dir(&name, quota)?;
-                self.dirs[shard] = dir;
-                Ok(Some(dir))
+                let made = Build { sys, probe, drv }.dir(&name, quota);
+                if let Ok(dir) = made {
+                    self.dirs[shard] = dir;
+                }
+                Some(made)
             }
         }
     }
@@ -1067,7 +1088,9 @@ impl<D: Design> Harness for Driver<D> {
     }
 
     fn housekeep(&mut self) {
-        self.sys.sync().expect("housekeeping sweep");
+        if let Err(e) = self.sys.sync() {
+            panic!("{} housekeeping sweep: {e:?}", D::NAME);
+        }
     }
 
     fn salvage_tick(&mut self) {
@@ -1135,9 +1158,6 @@ pub(crate) fn setup<D: Design>(spec: &LoadSpec) -> (Driver<D>, WorldCtx<D::Pid>)
 /// sharded engine partitions one global population and hands each shard
 /// machine the scripts of its members (local indices, global scripts),
 /// which is what keeps the merged stream independent of worker count.
-/// An optional schedule policy is installed *after* setup, exactly as
-/// the schedule explorer does, so every policy explores from the same
-/// initial state.
 pub(crate) fn run_load<D: Design>(
     spec: &LoadSpec,
     scripts: &[SessionScript],
@@ -1184,7 +1204,8 @@ pub(crate) fn run_load<D: Design>(
 }
 
 /// Runs the spec on the new kernel design. An optional schedule policy
-/// is installed after setup (see [`run_load`]).
+/// is installed *after* setup, exactly as the schedule explorer does,
+/// so every policy explores from the same initial state.
 pub fn run_kernel_load(spec: &LoadSpec, policy: Option<Box<dyn SchedulePolicy>>) -> LoadRun {
     run_load::<Kernel>(spec, &spec.scripts(), policy)
 }
