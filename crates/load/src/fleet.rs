@@ -1061,13 +1061,9 @@ impl<D: Design> Harness for Fleet<D> {
             };
             if owner == home && !migrated {
                 if own.is_some() {
-                    let m = &mut self.ms[home];
-                    let dir = m.dirs[&shard_name(shard)];
-                    let name = file_name(idx);
-                    if m.sys
-                        .delete_file(pid, dir, &shard_name(shard), &name)
-                        .is_err()
-                    {
+                    let (m, at) = (&mut self.ms[home], shard_name(shard));
+                    let dir = m.dirs[&at];
+                    if m.sys.delete_file(pid, dir, &at, &file_name(idx)).is_err() {
                         label = "out:err".to_string();
                     }
                 }
