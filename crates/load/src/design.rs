@@ -31,7 +31,7 @@ use mx_sync::SchedulePolicy;
 use mx_user::{publish_library, Admission, AnsweringService, NameSpace, UserLinker};
 
 use crate::epoch::C1Policy;
-use crate::run::{account_index, account_name, definitions, Build};
+use crate::run::{account_index, account_name, def_refs, definitions, Build};
 
 /// A design's own result type.
 pub(crate) type Res<D, T = ()> = Result<T, <D as Design>::Error>;
@@ -238,23 +238,7 @@ pub(crate) trait Design: Sized {
     fn deliver_directive(&mut self, net: Self::Net, bytes: &[u8], ch: u16) -> Result<(), String>;
 }
 
-fn def_refs(defs: &[(String, u32)]) -> Vec<(&str, u32)> {
-    defs.iter().map(|(s, o)| (s.as_str(), *o)).collect()
-}
-
 // --------------------------------------------------------- the kernel --
-
-fn kernel_config(s: &Shape) -> KernelConfig {
-    KernelConfig {
-        frames: s.frames,
-        packs: s.packs,
-        records_per_pack: s.records_per_pack,
-        toc_slots_per_pack: s.toc_slots_per_pack,
-        max_processes: s.max_processes,
-        root_quota: s.root_quota,
-        ..KernelConfig::default()
-    }
-}
 
 impl Design for Kernel {
     const NAME: &'static str = "kernel";
@@ -266,8 +250,16 @@ impl Design for Kernel {
     type Dir = ObjToken;
     type Net = StreamId;
 
-    fn boot(shape: &Shape, image: Option<DiskSystem>) -> Result<Self, String> {
-        let config = kernel_config(shape);
+    fn boot(s: &Shape, image: Option<DiskSystem>) -> Result<Self, String> {
+        let config = KernelConfig {
+            frames: s.frames,
+            packs: s.packs,
+            records_per_pack: s.records_per_pack,
+            toc_slots_per_pack: s.toc_slots_per_pack,
+            max_processes: s.max_processes,
+            root_quota: s.root_quota,
+            ..KernelConfig::default()
+        };
         match image {
             None => Ok(Kernel::boot(config)),
             Some(image) => Kernel::boot_from_image(config, image).map_err(|e| format!("{e:?}")),
@@ -535,22 +527,6 @@ impl Design for Kernel {
 
 // ------------------------------------------------- the 1974 supervisor --
 
-fn supervisor_config(s: &Shape) -> SupervisorConfig {
-    SupervisorConfig {
-        frames: s.frames,
-        packs: s.packs,
-        records_per_pack: s.records_per_pack,
-        toc_slots_per_pack: s.toc_slots_per_pack,
-        max_processes: s.max_processes,
-        root_quota_pages: s.root_quota,
-        ..SupervisorConfig::default()
-    }
-}
-
-fn path(at: &str, name: &str) -> String {
-    format!("{at}>{name}")
-}
-
 impl Design for Supervisor {
     const NAME: &'static str = "legacy";
     const RESIDENT_STORE: bool = false;
@@ -561,8 +537,16 @@ impl Design for Supervisor {
     type Dir = Option<SegUid>;
     type Net = NetworkId;
 
-    fn boot(shape: &Shape, image: Option<DiskSystem>) -> Result<Self, String> {
-        let config = supervisor_config(shape);
+    fn boot(s: &Shape, image: Option<DiskSystem>) -> Result<Self, String> {
+        let config = SupervisorConfig {
+            frames: s.frames,
+            packs: s.packs,
+            records_per_pack: s.records_per_pack,
+            toc_slots_per_pack: s.toc_slots_per_pack,
+            max_processes: s.max_processes,
+            root_quota_pages: s.root_quota,
+            ..SupervisorConfig::default()
+        };
         match image {
             None => Ok(Supervisor::boot(config)),
             Some(image) => Supervisor::boot_from_image(config, image).map_err(|e| format!("{e:?}")),
@@ -724,11 +708,11 @@ impl Design for Supervisor {
     fn create_in(&mut self, pid: LPid, dir: Self::Dir, at: &str, name: &str) -> Res<Self, u32> {
         let uid = dir.expect("a resolved or created directory");
         self.create_segment_in(uid, name, LAcl::owner(LUserId(1)), Label::BOTTOM)?;
-        Supervisor::initiate(self, pid, &path(at, name))
+        Supervisor::initiate(self, pid, &format!("{at}>{name}"))
     }
 
     fn delete_file(&mut self, pid: LPid, _: Self::Dir, at: &str, name: &str) -> Res<Self> {
-        self.delete(pid, &path(at, name))
+        self.delete(pid, &format!("{at}>{name}"))
     }
 
     fn initiate(&mut self, pid: LPid, _: Self::Dir, name: &str) -> Res<Self, u32> {

@@ -464,6 +464,11 @@ pub(crate) fn definitions() -> Vec<(String, u32)> {
         .collect()
 }
 
+/// The definitions as the publishing calls take them.
+pub(crate) fn def_refs(defs: &[(String, u32)]) -> Vec<(&str, u32)> {
+    defs.iter().map(|(s, o)| (s.as_str(), *o)).collect()
+}
+
 pub(crate) fn shared_word(page: u32) -> u64 {
     0x5EED + u64::from(page)
 }
