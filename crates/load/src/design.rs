@@ -16,7 +16,7 @@ use std::fmt::Debug;
 
 use mx_aim::Label;
 use mx_explore::oracle;
-use mx_hw::{DiskSystem, Machine, Subsystem, Word};
+use mx_hw::{DiskSystem, Language, Machine, Subsystem, Word};
 use mx_kernel::demux::{FramingSpec, StreamId};
 use mx_kernel::{
     Acl, Kernel, KernelConfig, KernelError, ObjToken, OnlineCheat, OnlineProgress, ProcessId,
@@ -31,6 +31,7 @@ use mx_sync::SchedulePolicy;
 use mx_user::{publish_library, Admission, AnsweringService, NameSpace, UserLinker};
 
 use crate::epoch::C1Policy;
+use crate::fleet::{CMD_DECODE_INSTR, RESIDENT_DISPATCH_INSTR};
 use crate::run::{account_index, account_name, def_refs, definitions, Build};
 
 /// A design's own result type.
@@ -107,11 +108,6 @@ pub(crate) struct Admit<D: Design> {
 pub(crate) trait Design: Sized {
     /// `"kernel"` or `"legacy"`: the `design` field of every report.
     const NAME: &'static str;
-    /// Whether the design has the specialized file-store configuration:
-    /// a resident dispatch stub and read path under the network
-    /// subsystem. The 1974 supervisor has none, so its fleets ignore
-    /// [`crate::FleetSpec::specialized_store`].
-    const RESIDENT_STORE: bool;
     type Error: Debug;
     type Pid: Copy;
     /// The user-domain login front beside the supervisor. On the kernel
@@ -215,7 +211,8 @@ pub(crate) trait Design: Sized {
     /// Resolves root entry `name`.
     fn resolve(&mut self, pid: Self::Pid, env: &mut Self::Env, name: &str) -> Res<Self>;
     fn read(&mut self, pid: Self::Pid, segno: u32, offset: u32) -> Res<Self, Word>;
-    /// The specialized store's read path.
+    /// The specialized file store's read path, under the network
+    /// subsystem with no gate.
     fn read_resident(&mut self, pid: Self::Pid, segno: u32, offset: u32) -> Res<Self, Word>;
     fn write(&mut self, pid: Self::Pid, segno: u32, offset: u32, w: Word) -> Res<Self>;
 
@@ -232,7 +229,12 @@ pub(crate) trait Design: Sized {
     fn attach_net(&mut self) -> Self::Net;
     fn net_receive(&mut self, net: Self::Net, bytes: &[u8]) -> Result<(), String>;
     fn net_read(&mut self, pid: Self::Pid, net: Self::Net, ch: u16) -> Result<Vec<u8>, String>;
+    /// The specialized file store's channel read, from the resident entry.
     fn net_read_resident(&mut self, net: Self::Net, ch: u16) -> Result<Vec<u8>, String>;
+    /// Charges deciding what one remote request asks for: the
+    /// specialized store's resident dispatch stub when `resident`, else
+    /// the user-domain command layer.
+    fn charge_dispatch(&mut self, resident: bool);
     /// Takes one front-end admission directive off the wire, charged
     /// to the answering service.
     fn deliver_directive(&mut self, net: Self::Net, bytes: &[u8], ch: u16) -> Result<(), String>;
@@ -242,7 +244,6 @@ pub(crate) trait Design: Sized {
 
 impl Design for Kernel {
     const NAME: &'static str = "kernel";
-    const RESIDENT_STORE: bool = true;
     type Error = KernelError;
     type Pid = ProcessId;
     type Front = AnsweringService;
@@ -509,6 +510,17 @@ impl Design for Kernel {
             .map_err(|e| format!("{e:?}"))
     }
 
+    fn charge_dispatch(&mut self, resident: bool) {
+        let (cost, clock) = (self.machine.cost, &mut self.machine.clock);
+        if resident {
+            let g = clock.enter(Subsystem::Network);
+            clock.charge_instructions(&cost, RESIDENT_DISPATCH_INSTR, Language::Assembly);
+            clock.exit(g);
+        } else {
+            clock.charge_instructions(&cost, CMD_DECODE_INSTR, Language::Pli);
+        }
+    }
+
     /// The answering service drains its own channel via the resident
     /// entry, inside its own meter scope: kernel-internal traffic does
     /// not cross a user gate.
@@ -529,7 +541,6 @@ impl Design for Kernel {
 
 impl Design for Supervisor {
     const NAME: &'static str = "legacy";
-    const RESIDENT_STORE: bool = false;
     type Error = LegacyError;
     type Pid = LPid;
     type Front = VecDeque<usize>;
@@ -749,6 +760,8 @@ impl Design for Supervisor {
         self.user_read(pid, segno, offset)
     }
 
+    /// The old supervisor has no resident file-store path to specialize
+    /// into: the store reads through the gate like any machine.
     fn read_resident(&mut self, pid: LPid, segno: u32, offset: u32) -> Res<Self, Word> {
         self.user_read(pid, segno, offset)
     }
@@ -817,6 +830,12 @@ impl Design for Supervisor {
     fn net_read_resident(&mut self, net: NetworkId, ch: u16) -> Result<Vec<u8>, String> {
         self.network_read_channel(net, ch)
             .map_err(|e| format!("{e:?}"))
+    }
+
+    /// Every remote request pays the user-domain command decode.
+    fn charge_dispatch(&mut self, _: bool) {
+        let (cost, clock) = (self.machine.cost, &mut self.machine.clock);
+        clock.charge_instructions(&cost, CMD_DECODE_INSTR, Language::Pli);
     }
 
     /// The old design has no resident read: even its own answering

@@ -39,7 +39,7 @@ use crate::run::{
     Session, PW,
 };
 use mx_hw::meter::{EdgeSet, MeterSnapshot};
-use mx_hw::{DiskSystem, Language, Subsystem, Word};
+use mx_hw::{DiskSystem, Subsystem, Word};
 use mx_kernel::Kernel;
 use mx_legacy::Supervisor;
 use mx_sync::{ChoicePoint, FifoPolicy, SchedulePolicy};
@@ -61,11 +61,11 @@ const GOSSIP_EVERY: u64 = 3;
 
 /// PL/I instructions the general store's user-domain command layer
 /// spends decoding one remote request before dispatching it.
-const CMD_DECODE_INSTR: u64 = 40;
+pub(crate) const CMD_DECODE_INSTR: u64 = 40;
 /// Machine instructions the specialized file-store machine's resident
 /// dispatch stub spends on the same decision — no command layer, no
 /// gate, just a jump table inside the network subsystem.
-const RESIDENT_DISPATCH_INSTR: u64 = 8;
+pub(crate) const RESIDENT_DISPATCH_INSTR: u64 = 8;
 
 const OP_LINK: u8 = 1;
 const OP_RESOLVE_LIB: u8 = 2;
@@ -656,9 +656,11 @@ impl<D: Design> Fleet<D> {
         }
     }
 
-    /// Machine `mi` runs the specialized file-store configuration.
+    /// Machine `mi` is the store, asked to run the specialized
+    /// file-store configuration (a design without one serves it the
+    /// general way).
     fn specialized(&self, mi: usize) -> bool {
-        D::RESIDENT_STORE && self.spec.specialized_store && mi == 0
+        self.spec.specialized_store && mi == 0
     }
 
     /// Serves one buffered request on machine `mi`: read it out of the
@@ -684,15 +686,7 @@ impl<D: Design> Fleet<D> {
                 return;
             }
         };
-        let machine = m.sys.machine_mut();
-        let (cost, clock) = (machine.cost, &mut machine.clock);
-        if specialized {
-            let g = clock.enter(Subsystem::Network);
-            clock.charge_instructions(&cost, RESIDENT_DISPATCH_INSTR, Language::Assembly);
-            clock.exit(g);
-        } else {
-            clock.charge_instructions(&cost, CMD_DECODE_INSTR, Language::Pli);
-        }
+        m.sys.charge_dispatch(specialized);
         let (status, value) = self.execute_op(mi, Req::decode(&bytes));
 
         // Gossip *before* the response: while the reply is still in
