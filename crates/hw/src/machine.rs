@@ -156,7 +156,11 @@ impl Machine {
     // The 6180's "clear associative memory" connects to every processor;
     // supervisor software invokes these whenever it rewrites a descriptor
     // word, addressed by the descriptor's core address (the "setfaults"
-    // discipline). All are cheap no-ops when the feature is off.
+    // discipline). Each processor's reverse index answers a flush of a
+    // word no resident entry came from with one counter read (one per
+    // word for a range, none when the cache is empty); only a possible
+    // hit pays the scan of all TLB_SETS × TLB_WAYS ways. With the feature
+    // off nothing is filled, so every flush stops at the index.
 
     /// Flushes every processor's cached translations made from the PTW at
     /// `addr`.

@@ -17,6 +17,15 @@
 //! core address, which is what supervisor software knows when it rewrites
 //! a table word.
 //!
+//! Those flushes are far more frequent than the entries they find: the
+//! 1974 supervisor rewrites a PTW on every word it reads. So each
+//! processor's cache keeps a reverse index of the descriptor words its
+//! resident entries were made from — a counting filter over PTW and SDW
+//! addresses — and a flush whose word has no count returns without
+//! looking at a way. A count that is shared by another address (a filter
+//! collision) falls back to the full scan, so the entries dropped, the
+//! tallies and every later hit or miss are exactly the scan's.
+//!
 //! A hit costs zero descriptor fetches. To keep caching invisible to
 //! software (byte-identical core images with the feature on or off), a
 //! write hit whose entry has not yet observed the modified bit performs
@@ -31,6 +40,8 @@ use crate::meter::CounterSet;
 pub const TLB_SETS: usize = 64;
 /// Associativity (entries per set).
 pub const TLB_WAYS: usize = 4;
+/// Buckets in each reverse-index counting filter (a power of two).
+const INDEX_BUCKETS: usize = 1024;
 
 /// One resident translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,6 +128,12 @@ pub struct Tlb {
     sets: Vec<[Option<TlbEntry>; TLB_WAYS]>,
     tick: u64,
     stats: TlbStats,
+    /// Resident entries.
+    live: usize,
+    /// Resident entries per [`Tlb::bucket`] of their PTW address.
+    ptw_index: Vec<u16>,
+    /// Resident entries per [`Tlb::bucket`] of their SDW address.
+    sdw_index: Vec<u16>,
 }
 
 impl Default for Tlb {
@@ -132,7 +149,38 @@ impl Tlb {
             sets: vec![[None; TLB_WAYS]; TLB_SETS],
             tick: 0,
             stats: TlbStats::default(),
+            live: 0,
+            ptw_index: vec![0; INDEX_BUCKETS],
+            sdw_index: vec![0; INDEX_BUCKETS],
         }
+    }
+
+    /// Reverse-index bucket of a descriptor address (Fibonacci hashing,
+    /// which spreads the consecutive words of one table across buckets).
+    fn bucket(addr: AbsAddr) -> usize {
+        (addr.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - INDEX_BUCKETS.trailing_zeros()))
+            as usize
+    }
+
+    /// True if some resident entry may have been made from a descriptor
+    /// word in `[base, base + len)` of `index`; false only when none was.
+    fn may_cache(&self, index: &[u16], base: AbsAddr, len: u64) -> bool {
+        self.live > 0
+            && (len > INDEX_BUCKETS as u64
+                || (base.0..base.0.saturating_add(len))
+                    .any(|a| index[Self::bucket(AbsAddr(a))] > 0))
+    }
+
+    fn index(&mut self, e: &TlbEntry) {
+        self.live += 1;
+        self.ptw_index[Self::bucket(e.ptw_addr)] += 1;
+        self.sdw_index[Self::bucket(e.sdw_addr)] += 1;
+    }
+
+    fn unindex(&mut self, e: &TlbEntry) {
+        self.live -= 1;
+        self.ptw_index[Self::bucket(e.ptw_addr)] -= 1;
+        self.sdw_index[Self::bucket(e.sdw_addr)] -= 1;
     }
 
     /// Deterministic set index for a translation key.
@@ -181,63 +229,73 @@ impl Tlb {
         let set = &mut self.sets[Self::set_index(entry.asid, entry.segno, entry.pageno)];
         // Replace an existing mapping for the key, then an empty way,
         // then the LRU way.
-        if let Some(slot) = set.iter_mut().find(|s| {
-            s.is_some_and(|e| {
-                e.asid == entry.asid && e.segno == entry.segno && e.pageno == entry.pageno
+        let way = set
+            .iter()
+            .position(|s| {
+                s.is_some_and(|e| {
+                    e.asid == entry.asid && e.segno == entry.segno && e.pageno == entry.pageno
+                })
             })
-        }) {
-            *slot = Some(entry);
-            return;
+            .or_else(|| set.iter().position(Option::is_none))
+            .unwrap_or_else(|| {
+                (0..TLB_WAYS)
+                    .min_by_key(|&w| set[w].map_or(0, |e| e.lru))
+                    .expect("TLB_WAYS > 0")
+            });
+        if let Some(old) = set[way].replace(entry) {
+            self.unindex(&old);
         }
-        if let Some(slot) = set.iter_mut().find(|s| s.is_none()) {
-            *slot = Some(entry);
-            return;
-        }
-        let victim = set
-            .iter_mut()
-            .min_by_key(|s| s.map_or(0, |e| e.lru))
-            .expect("TLB_WAYS > 0");
-        *victim = Some(entry);
+        self.index(&entry);
     }
 
     /// Drops every entry cached from the PTW at `addr`.
     pub fn invalidate_ptw(&mut self, addr: AbsAddr) {
-        self.retain(|e| e.ptw_addr != addr);
+        if self.ptw_index[Self::bucket(addr)] > 0 {
+            self.retain(|e| e.ptw_addr != addr);
+        }
     }
 
     /// Drops every entry cached from the SDW at `addr`.
     pub fn invalidate_sdw(&mut self, addr: AbsAddr) {
-        self.retain(|e| e.sdw_addr != addr);
+        if self.sdw_index[Self::bucket(addr)] > 0 {
+            self.retain(|e| e.sdw_addr != addr);
+        }
     }
 
     /// Drops every entry whose PTW lies in `[base, base + len)` — the
     /// page-table-slot-reuse flush.
     pub fn invalidate_ptw_range(&mut self, base: AbsAddr, len: u64) {
-        self.retain(|e| e.ptw_addr.0 < base.0 || e.ptw_addr.0 >= base.0 + len);
+        if self.may_cache(&self.ptw_index, base, len) {
+            self.retain(|e| e.ptw_addr.0 < base.0 || e.ptw_addr.0 >= base.0 + len);
+        }
     }
 
     /// Drops every entry whose SDW lies in `[base, base + len)` — the
     /// flush a rebuilt or reused descriptor segment requires.
     pub fn invalidate_sdw_range(&mut self, base: AbsAddr, len: u64) {
-        self.retain(|e| e.sdw_addr.0 < base.0 || e.sdw_addr.0 >= base.0 + len);
+        if self.may_cache(&self.sdw_index, base, len) {
+            self.retain(|e| e.sdw_addr.0 < base.0 || e.sdw_addr.0 >= base.0 + len);
+        }
     }
 
     /// Drops everything (the 6180's "clear associative memory").
     pub fn clear(&mut self) {
-        self.retain(|_| false);
+        if self.live > 0 {
+            self.retain(|_| false);
+        }
     }
 
+    /// The linear scan behind every flush: drops each way `keep` rejects
+    /// and takes it out of the reverse index.
     fn retain(&mut self, keep: impl Fn(&TlbEntry) -> bool) {
-        let mut dropped = 0u64;
-        for set in &mut self.sets {
-            for slot in set.iter_mut() {
-                if slot.as_ref().is_some_and(|e| !keep(e)) {
-                    *slot = None;
-                    dropped += 1;
+        for s in 0..TLB_SETS {
+            for w in 0..TLB_WAYS {
+                if let Some(e) = self.sets[s][w].take_if(|e| !keep(e)) {
+                    self.unindex(&e);
+                    self.stats.invalidations += 1;
                 }
             }
         }
-        self.stats.invalidations += dropped;
     }
 
     /// The tallies so far.
@@ -245,9 +303,9 @@ impl Tlb {
         self.stats
     }
 
-    /// Number of resident entries (for tests).
+    /// Number of resident entries.
     pub fn resident(&self) -> usize {
-        self.sets.iter().flatten().flatten().count()
+        self.live
     }
 }
 
@@ -348,6 +406,215 @@ mod tests {
         assert_eq!(
             c.get("tlb_lookups").unwrap(),
             c.get("tlb_hits").unwrap() + c.get("tlb_misses").unwrap()
+        );
+    }
+
+    /// The associative memory as it was before the reverse index: every
+    /// flush walks every way. Same key mapping and replacement policy.
+    #[derive(Default)]
+    struct LinearScan {
+        sets: Vec<[Option<TlbEntry>; TLB_WAYS]>,
+        tick: u64,
+        stats: TlbStats,
+    }
+
+    impl LinearScan {
+        fn new() -> Self {
+            Self {
+                sets: vec![[None; TLB_WAYS]; TLB_SETS],
+                ..Self::default()
+            }
+        }
+
+        fn lookup(&mut self, asid: AbsAddr, segno: u32, pageno: u32) -> Option<&mut TlbEntry> {
+            self.stats.lookups += 1;
+            self.tick += 1;
+            let tick = self.tick;
+            let hit = self.sets[Tlb::set_index(asid, segno, pageno)]
+                .iter_mut()
+                .flatten()
+                .find(|e| e.asid == asid && e.segno == segno && e.pageno == pageno);
+            match hit {
+                Some(e) => {
+                    self.stats.hits += 1;
+                    e.lru = tick;
+                    Some(e)
+                }
+                None => {
+                    self.stats.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn fill(&mut self, mut entry: TlbEntry) {
+            self.tick += 1;
+            entry.lru = self.tick;
+            self.stats.fills += 1;
+            let set = &mut self.sets[Tlb::set_index(entry.asid, entry.segno, entry.pageno)];
+            if let Some(slot) = set.iter_mut().find(|s| {
+                s.is_some_and(|e| {
+                    e.asid == entry.asid && e.segno == entry.segno && e.pageno == entry.pageno
+                })
+            }) {
+                *slot = Some(entry);
+            } else if let Some(slot) = set.iter_mut().find(|s| s.is_none()) {
+                *slot = Some(entry);
+            } else {
+                *set.iter_mut()
+                    .min_by_key(|s| s.map_or(0, |e| e.lru))
+                    .unwrap() = Some(entry);
+            }
+        }
+
+        fn retain(&mut self, keep: impl Fn(&TlbEntry) -> bool) {
+            for slot in self.sets.iter_mut().flatten() {
+                if slot.as_ref().is_some_and(|e| !keep(e)) {
+                    *slot = None;
+                    self.stats.invalidations += 1;
+                }
+            }
+        }
+
+        fn resident(&self) -> usize {
+            self.sets.iter().flatten().flatten().count()
+        }
+
+        fn resident_from(&self, from: impl Fn(&TlbEntry) -> bool) -> bool {
+            self.sets.iter().flatten().flatten().any(from)
+        }
+    }
+
+    /// `addr`, or one time in four the next address that shares its
+    /// reverse-index bucket.
+    fn or_collider(rng: &mut crate::rng::SplitMix64, addr: u64) -> u64 {
+        if !rng.chance(1, 4) {
+            return addr;
+        }
+        (addr + 1..)
+            .find(|&a| Tlb::bucket(AbsAddr(a)) == Tlb::bucket(AbsAddr(addr)))
+            .unwrap()
+    }
+
+    #[test]
+    fn the_indexed_flush_matches_a_linear_scan_step_for_step() {
+        use crate::rng::SplitMix64;
+        // Descriptor words: four page tables and four descriptor
+        // segments, plus for each a word elsewhere that shares its
+        // index bucket, so filter collisions are routine.
+        let pt_bases: Vec<u64> = (0..4).map(|i| 0o40_000 + i * 256).collect();
+        let dsegs: Vec<u64> = (0..4).map(|i| 0o100_000 + i * 1024).collect();
+        let (mut skipped, mut collided) = (0u64, 0u64);
+        for seed in 0..8u64 {
+            let mut rng = SplitMix64::new(0x71B ^ seed);
+            let mut tlb = Tlb::new();
+            let mut reference = LinearScan::new();
+            let ptw_word = |rng: &mut SplitMix64| {
+                let a = pt_bases[rng.range_usize(0, 4)] + rng.below(300);
+                or_collider(rng, a)
+            };
+            let sdw_word = |rng: &mut SplitMix64, asid: u64, segno: u32| {
+                or_collider(rng, asid + 2 * u64::from(segno))
+            };
+            for step in 0..4_000 {
+                let asid = dsegs[rng.range_usize(0, 4)];
+                let (segno, pageno) = (rng.range_u32(0, 8), rng.range_u32(0, 300));
+                match rng.below(100) {
+                    0..=39 => {
+                        let e = TlbEntry {
+                            asid: AbsAddr(asid),
+                            segno,
+                            pageno,
+                            sdw_addr: AbsAddr(sdw_word(&mut rng, asid, segno)),
+                            ptw_addr: AbsAddr(ptw_word(&mut rng)),
+                            frame: FrameNo(rng.range_u32(0, 64)),
+                            read: rng.chance(1, 2),
+                            write: rng.chance(1, 2),
+                            execute: rng.chance(1, 2),
+                            modified: rng.chance(1, 2),
+                            lru: 0,
+                        };
+                        tlb.fill(e);
+                        reference.fill(e);
+                    }
+                    40..=69 => {
+                        let asid = AbsAddr(asid);
+                        let set_modified = rng.chance(1, 2);
+                        let got = tlb.lookup(asid, segno, pageno).map(|e| {
+                            e.modified |= set_modified;
+                            *e
+                        });
+                        let want = reference.lookup(asid, segno, pageno).map(|e| {
+                            e.modified |= set_modified;
+                            *e
+                        });
+                        assert_eq!(got, want, "seed {seed} step {step}: lookup");
+                    }
+                    70..=79 => {
+                        let addr = AbsAddr(ptw_word(&mut rng));
+                        match tlb.ptw_index[Tlb::bucket(addr)] {
+                            0 => skipped += 1,
+                            _ if !reference.resident_from(|e| e.ptw_addr == addr) => collided += 1,
+                            _ => {}
+                        }
+                        tlb.invalidate_ptw(addr);
+                        reference.retain(|e| e.ptw_addr != addr);
+                    }
+                    80..=87 => {
+                        let addr = AbsAddr(sdw_word(&mut rng, asid, segno));
+                        tlb.invalidate_sdw(addr);
+                        reference.retain(|e| e.sdw_addr != addr);
+                    }
+                    88..=93 => {
+                        // A window that may straddle a table's edge, or
+                        // (rarely) wider than the index.
+                        let base = ptw_word(&mut rng).saturating_sub(rng.below(200));
+                        let len = if rng.chance(1, 8) {
+                            2 * INDEX_BUCKETS as u64
+                        } else {
+                            rng.range_u64(1, 400)
+                        };
+                        tlb.invalidate_ptw_range(AbsAddr(base), len);
+                        reference.retain(|e| e.ptw_addr.0 < base || e.ptw_addr.0 >= base + len);
+                    }
+                    94..=98 => {
+                        let base = asid + rng.below(16);
+                        let len = rng.range_u64(1, 1200);
+                        tlb.invalidate_sdw_range(AbsAddr(base), len);
+                        reference.retain(|e| e.sdw_addr.0 < base || e.sdw_addr.0 >= base + len);
+                    }
+                    _ => {
+                        tlb.clear();
+                        reference.retain(|_| false);
+                    }
+                }
+                assert_eq!(tlb.sets, reference.sets, "seed {seed} step {step}: ways");
+                assert_eq!(
+                    tlb.resident(),
+                    reference.resident(),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(
+                    tlb.stats(),
+                    reference.stats,
+                    "seed {seed} step {step}: stats"
+                );
+                let mut ptw_index = vec![0; INDEX_BUCKETS];
+                let mut sdw_index = vec![0; INDEX_BUCKETS];
+                for e in reference.sets.iter().flatten().flatten() {
+                    ptw_index[Tlb::bucket(e.ptw_addr)] += 1;
+                    sdw_index[Tlb::bucket(e.sdw_addr)] += 1;
+                }
+                assert!(
+                    tlb.ptw_index == ptw_index && tlb.sdw_index == sdw_index,
+                    "seed {seed} step {step}: the index counts exactly the resident ways"
+                );
+            }
+        }
+        assert!(skipped > 0, "some flushes were answered by the index alone");
+        assert!(
+            collided > 0,
+            "some flushes fell back to the scan on a collision"
         );
     }
 }

@@ -205,6 +205,42 @@ fn a_skipped_flush_surfaces_as_a_stale_translation() {
 }
 
 #[test]
+fn a_supervisor_read_flushes_the_users_cached_translation_of_that_page() {
+    // The reverse index lets most setfaults flushes return at once; this
+    // is the case it must never elide. The supervisor's read sets the
+    // used bit in the very PTW a user translation was cached from.
+    let (mut sup, pid) = cramped_legacy();
+    let segno = legacy_data_segment(&mut sup, pid);
+    sup.user_write(pid, segno, 3, Word::new(0o5151)).unwrap();
+    assert_eq!(sup.user_read(pid, segno, 3).unwrap(), Word::new(0o5151));
+    let warm = sup.machine.tlb_stats();
+    assert_eq!(sup.user_read(pid, segno, 3).unwrap(), Word::new(0o5151));
+    assert_eq!(sup.machine.tlb_stats().hits, warm.hits + 1, "cached");
+
+    let uid = sup
+        .resolve(pid, "data", multics::legacy::AccessRight::Read)
+        .unwrap()
+        .0;
+    let astx = sup.ast.find(uid).unwrap();
+    let before = sup.machine.tlb_stats();
+    assert_eq!(sup.sup_read(astx, 3).unwrap(), Word::new(0o5151));
+    let flushed = sup.machine.tlb_stats();
+    assert_eq!(
+        flushed.invalidations,
+        before.invalidations + 1,
+        "the supervisor's PTW rewrite dropped the user's entry"
+    );
+
+    assert_eq!(sup.user_read(pid, segno, 3).unwrap(), Word::new(0o5151));
+    let after = sup.machine.tlb_stats();
+    assert_eq!(
+        (after.hits, after.misses, after.fills),
+        (flushed.hits, flushed.misses + 1, flushed.fills + 1),
+        "the next user read missed and re-walked"
+    );
+}
+
+#[test]
 fn eviction_invalidates_and_the_page_comes_back_correct() {
     let (mut sup, pid) = cramped_legacy();
     let segno = legacy_data_segment(&mut sup, pid);
